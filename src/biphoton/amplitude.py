@@ -9,7 +9,6 @@ equal azimuths); an L2 quadrature norm is available separately.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configio import write_csv
 from .crystal import DerivedScales, ExperimentConfig
 from .errors import ConfigError, DegenerateGeometryError, RegimeError
 
@@ -378,22 +378,15 @@ def export_grid_csv(
 ) -> None:
     """Write the density over a (theta1, theta2, alpha1-alpha2) grid as CSV
     with columns theta1,theta2,alpha1,alpha2,value (radians, peak-normalized)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta1", "theta2", "alpha1", "alpha2", "value"])
+    a1 = alpha0 + 0.5 * dalpha
+    a2 = alpha0 - 0.5 * dalpha
+
+    def blocks():
         for t1 in theta:
             for t2 in theta:
-                a1 = alpha0 + 0.5 * dalpha
-                a2 = alpha0 - 0.5 * dalpha
-                pair = AngularPair(
-                    theta1=np.full_like(dalpha, t1),
-                    theta2=np.full_like(dalpha, t2),
-                    alpha1=a1,
-                    alpha2=a2,
-                )
-                vals = np.atleast_1d(probability_density(model, pair))
-                for j in range(len(dalpha)):
-                    writer.writerow(
-                        [f"{t1:.12g}", f"{t2:.12g}", f"{a1[j]:.12g}",
-                         f"{a2[j]:.12g}", f"{vals[j]:.12g}"]
-                    )
+                th1, th2 = np.full(a1.shape, t1), np.full(a1.shape, t2)
+                vals = probability_density(model, AngularPair(th1, th2, a1, a2))
+                yield th1, th2, a1, a2, np.atleast_1d(vals)
+
+    write_csv(path, ("theta1", "theta2", "alpha1", "alpha2", "value"),
+              ("%.12g",) * 5, blocks())

@@ -7,8 +7,6 @@ closed forms. Entropies are in bits.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configio import write_csv
 from .crystal import DerivedScales
 from .errors import ConfigError, RegimeError, ResolutionError
 
@@ -100,19 +99,12 @@ class SchmidtSpectrum:
         return out
 
     def export_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.oam_l is not None:
-                writer.writerow(["l", "parity", "weight"])
-                for l, p, w in zip(self.oam_l, self.oam_parity, self.weights):
-                    writer.writerow([int(l), p, f"{w:.12g}"])
-            else:
-                writer.writerow(["index", "weight"])
-                for i, w in enumerate(self.weights):
-                    writer.writerow([i, f"{w:.12g}"])
-
-    def export_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_summary_dict(), indent=2) + "\n")
+        if self.oam_l is not None:
+            write_csv(path, ("l", "parity", "weight"), ("%d", "%s", "%.12g"),
+                      [(self.oam_l, self.oam_parity, self.weights)])
+        else:
+            write_csv(path, ("index", "weight"), ("%d", "%.12g"),
+                      [(range(len(self.weights)), self.weights)])
 
 
 def _entropy_bits(weights: np.ndarray) -> float:

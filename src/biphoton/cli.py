@@ -2,13 +2,13 @@
 
 Every command is deterministic for a fixed configuration. Exit codes:
 0 success, 2 configuration error, 3 regime error, 4 resolution error,
-5 degenerate geometry or infeasible layout.
+5 degenerate geometry or infeasible layout, 6 output error (an --out
+directory or file that cannot be created or written).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -20,7 +20,6 @@ from . import __version__
 from .amplitude import (
     SINC_GAUSS_FITTED,
     SINC_GAUSS_PUBLISHED,
-    sinc_gauss_fit,
     validity_report,
 )
 from .analysis import (
@@ -32,7 +31,7 @@ from .analysis import (
     schmidt_analytic,
     schmidt_numeric,
 )
-from .configio import RunConfig, load_run_config, parse_angle, parse_length
+from .configio import RunConfig, load_run_config, parse_angle, parse_length, write_csv
 from .crystal import (
     derive_scales,
     ordinary_index,
@@ -57,18 +56,11 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_RESOLUTION = 4
 EXIT_GEOMETRY = 5
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+EXIT_OUTPUT = 6
 
 
 def _emit(args, payload: dict, name: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -149,18 +141,18 @@ def cmd_scan(args) -> int:
         header = ["phi0", "np_minus_no"]
     elif args.quantity == "walkoff":
         zeta = walkoff_slope(exp.crystal, exp.lambda_p, exp.phi0)
-        y = (-zeta * np.cos(x)).tolist()
+        y = -zeta * np.cos(x)
         header = ["alpha_p", "np_prime"]
     elif args.quantity == "sincfit":
         c = SINC_GAUSS_PUBLISHED if cfg.published_constants else SINC_GAUSS_FITTED
-        y = (np.sinc(x / math.pi) ** 2 - np.exp(-c * x * x)).tolist()
+        y = np.sinc(x / math.pi) ** 2 - np.exp(-c * x * x)
         header = ["x", "sinc_sq_minus_gauss"]
     else:  # argparse choices guard this
         raise ConfigError(f"unknown scan quantity {args.quantity!r}")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"scan_{args.quantity}.csv"
-    _write_csv(path, header, zip(x.tolist(), [float(v) for v in y]))
+    write_csv(path, header, ("%.12g", "%.12g"), [(x, y)])
     print(f"wrote {path}")
     return 0
 
@@ -183,13 +175,10 @@ def cmd_density(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "density.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha1", "alpha2", "density"])
-        for a1 in alpha:
-            row_vals = azimuthal_density(dist, a1, alpha)
-            for a2, v in zip(alpha, row_vals):
-                writer.writerow([f"{a1:.12g}", f"{a2:.12g}", f"{v:.12g}"])
+    rows = (
+        (np.full(n, a1), alpha, azimuthal_density(dist, a1, alpha)) for a1 in alpha
+    )
+    write_csv(path, ("alpha1", "alpha2", "density"), ("%.12g",) * 3, rows)
     print(f"wrote {path}")
     return 0
 
@@ -219,8 +208,9 @@ def cmd_schmidt(args) -> int:
     spectrum.export_csv(base.with_suffix(".csv"))
     summary = spectrum.to_summary_dict()
     summary["R"] = r_parameter(dist)
-    base.with_suffix(".json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary, indent=2))
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    base.with_suffix(".json").write_text(text + "\n")
+    print(text)
     return 0
 
 
@@ -319,6 +309,9 @@ def main(argv=None) -> int:
     except (DegenerateGeometryError, InfeasibleLayoutError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Flat key-value run configuration with unit-suffixed numbers.
+"""Flat key-value run configuration with unit-suffixed numbers, and the
+CSV writer every export shares.
 
 Internal units are micrometers and radians; lengths accept um/mm/cm/m
 suffixes (bare numbers are micrometers), angles accept an optional rad/deg
@@ -8,9 +9,11 @@ suffix. CLI flags override file values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .crystal import ExperimentConfig, SellmeierSet, load_crystal
 from .errors import ConfigError
@@ -19,6 +22,9 @@ _LENGTH_UNITS = {"um": 1.0, "μm": 1.0, "mkm": 1.0, "mm": 1e3, "cm": 1e4, "m": 1
 _ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 
 REFERENCE_CONFIG_NAME = "reference.config"
+
+# Rows formatted per `%` call in write_csv; bounds its memory, not the file's.
+CSV_BLOCK_ROWS = 4096
 
 
 def parse_length(text: str) -> float:
@@ -99,7 +105,10 @@ def load_run_config(path: str | Path | None = None, **overrides) -> RunConfig:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
-        text = p.read_text()
+        try:
+            text = p.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         source = str(path)
 
     values: dict = {}
@@ -130,5 +139,23 @@ def load_run_config(path: str | Path | None = None, **overrides) -> RunConfig:
     return cfg
 
 
-def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+def write_csv(path: str | Path, header, formats, blocks) -> None:
+    """Write a header row, then the rows of each block, as CSV.
+
+    `formats` holds one %-format per column ("%d", "%s", "%.12g"); each
+    block is a tuple of equal-length columns, arrays or sliceable sequences
+    such as `range`, converted to arrays a run at a time. The bytes are those
+    `csv.writer` gives for the same fields: CRLF row ends and no quoting,
+    which none of these fields needs. Rows are formatted CSV_BLOCK_ROWS at
+    a time with one `%` call on a repeated row template.
+    """
+    row = ",".join(formats) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            for start in range(0, len(block[0]), CSV_BLOCK_ROWS):
+                run = [np.asarray(c[start : start + CSV_BLOCK_ROWS]) for c in block]
+                # with a string column, an object table keeps each field's own type
+                numeric = all(c.dtype.kind in "iuf" for c in run)
+                table = np.stack(run, axis=1, dtype=None if numeric else object)
+                fh.write((row * len(run[0])) % tuple(table.ravel().tolist()))

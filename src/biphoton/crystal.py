@@ -182,9 +182,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("lambda_p", "w", "L"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if not 0.0 <= self.phi0 <= math.pi / 2:
+            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ConfigError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)!r}"
+                )
+        if not 0.0 <= self.phi0 <= math.pi / 2:  # also rejects nan and inf
             raise ConfigError(f"phi0 must lie in [0, pi/2], got {self.phi0!r}")
         self.crystal._check_range(self.lambda_p)
         self.crystal._check_range(2.0 * self.lambda_p)

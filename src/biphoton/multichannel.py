@@ -8,7 +8,6 @@ are reserved in the report schema but not modeled.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configio import write_csv
 from .errors import ConfigError, InfeasibleLayoutError
 
 DEFAULT_SAFETY_FACTOR = 3.0
@@ -206,11 +206,8 @@ def multichannel_entanglement(state: MultichannelState) -> tuple[float, float]:
 def export_layout_csv(layout: ChannelLayout, path: str | Path) -> None:
     """CSV of plane geometry and margins for ring diagrams."""
     report = validate_layout(layout)
-    gaps = layout.gaps()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plane", "alpha_rad", "gap_to_next_rad", "gap_margin_rad"])
-        for i, (alpha, gap) in enumerate(zip(layout.plane_azimuths, gaps)):
-            writer.writerow(
-                [i, f"{alpha:.12g}", f"{gap:.12g}", f"{gap - report.required_gap:.12g}"]
-            )
+    gaps = np.array(layout.gaps())
+    margins = gaps - report.required_gap
+    write_csv(path, ("plane", "alpha_rad", "gap_to_next_rad", "gap_margin_rad"),
+              ("%d", "%.12g", "%.12g", "%.12g"),
+              [(range(gaps.size), layout.plane_azimuths, gaps, margins)])

@@ -59,6 +59,20 @@ class TestParams:
         assert payload["config"]["w_um"] == pytest.approx(2928.0)
         assert payload["entanglement"]["R"] == pytest.approx(2e4, rel=0.1)
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--waist", "nan"), ("--length", "inf"), ("--lambda-p", "nan"),
+        ("--phi0", "nan"), ("--waist", "-infum"),
+    ])
+    def test_non_finite_input_exit_code(self, capsys, flag, value):
+        assert run("params", f"{flag}={value}") == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_config_file_that_is_a_directory(self, tmp_path, capsys):
+        assert run("params", "--config", str(tmp_path)) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
 
 class TestScan:
     def test_index_difference_crosses_window_edges(self, tmp_path):
@@ -210,3 +224,29 @@ class TestMultichannelCommand:
         ) == 0
         payload = json.loads((tmp_path / "multichannel.json").read_text())
         assert payload["K"] == pytest.approx(4.0, abs=1e-12)
+
+
+class TestUnwritableOut:
+    """--out naming a regular file, or a path below one, is an output
+    error (exit 6), not a traceback."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "a-file"
+        path.write_text("not a directory\n")
+        return path
+
+    @pytest.mark.parametrize("sub", ["", "below"])
+    def test_json_command(self, blocker, capsys, sub):
+        out = blocker / sub if sub else blocker
+        assert run("params", "--out", str(out)) == 6
+        assert "output error" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("sub", ["", "below"])
+    def test_csv_command(self, blocker, capsys, sub):
+        out = blocker / sub if sub else blocker
+        assert run("scan", "--quantity", "sincfit", "--range", "-1", "1",
+                   "--points", "5", "--out", str(out)) == 6
+        assert "output error" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
