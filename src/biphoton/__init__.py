@@ -10,7 +10,6 @@ from .amplitude import (
     AzimuthMode,
     GeometryMode,
     amplitude,
-    l2_norm,
     phase_mismatch,
     probability_density,
     pump_azimuth_cos,

@@ -4,12 +4,11 @@ Angles follow the diametric convention: alpha1 is measured from +x and
 alpha2 from -x, so a back-to-back pair has alpha1 == alpha2 and the pump
 transverse momentum is proportional to the *difference* of the projected
 unit vectors. All amplitudes are peak-normalized (value 1 on the cone at
-equal azimuths); an L2 quadrature norm is available separately.
+equal azimuths).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,10 +28,6 @@ SINC_GAUSS_FITTED = 0.359
 SINC_GAUSS_PUBLISHED = 0.395
 
 CLAMP_TOL = 1e-12  # |cos alpha_p| may exceed 1 by rounding; clamp within this
-
-# Half-widths (in sigmas) of the default evaluation windows; truncated
-# Gaussian mass < 1e-14.
-GRID_SIGMAS = 8.0
 
 
 class GeometryMode(Enum):
@@ -194,21 +189,11 @@ def phase_mismatch(pair: AngularPair, scales: DerivedScales, include_walkoff: bo
     (pi / n_o lambda_p) theta0 (theta1 + theta2 - 2 theta0); with walk-off
     the linearized anisotropy contribution is added.
     """
-    th1 = np.asarray(pair.theta1, dtype=float)
-    th2 = np.asarray(pair.theta2, dtype=float)
-    lam = scales.lambda_p
-    t0 = scales.theta0
-    delta = math.pi / (scales.n_o * lam) * t0 * (th1 + th2 - 2.0 * t0)
-    if include_walkoff:
-        al0 = pair.alpha0
-        delta = delta - (math.pi * scales.zeta / (lam * scales.n_p0)) * (
-            np.cos(al0) * (th1 - th2) - t0 * np.sin(al0) * pair.alpha_diff
-        )
-    return delta
+    return 2.0 / scales.L * _sinc_argument(pair, scales, include_walkoff)
 
 
 def _sinc_argument(pair: AngularPair, scales: DerivedScales, walkoff: bool):
-    # L * Delta / 2 expressed through dtheta_L
+    # L * Delta / 2 expressed through dtheta_L; phase_mismatch is 2/L times this
     th1 = np.asarray(pair.theta1, dtype=float)
     th2 = np.asarray(pair.theta2, dtype=float)
     t0 = scales.theta0
@@ -284,34 +269,6 @@ def sinc_gauss_fit(
     return c, resid
 
 
-def default_windows(scales: DerivedScales, sigmas: float = GRID_SIGMAS):
-    """Evaluation windows: theta around the cone and azimuthal difference.
-
-    Returns ((theta_lo, theta_hi), (dalpha_lo, dalpha_hi)). The polar
-    window covers both the sinc ridge (width dtheta_L/theta0 in each
-    polar angle) and the pump Gaussian (width dtheta_p).
-    """
-    t0 = scales.theta0
-    half_t = sigmas * max(scales.dtheta_L / t0, scales.dtheta_p)
-    half_a = sigmas * scales.dtheta_p / t0
-    return (t0 - half_t, t0 + half_t), (-half_a, half_a)
-
-
-def l2_norm(model: AmplitudeModel, n: int = 96, sigmas: float = GRID_SIGMAS) -> float:
-    """Quadrature L2 norm of the peak-normalized amplitude over the default
-    windows (theta1, theta2, alpha1 - alpha2), at fixed alpha0 = 0, times
-    the sqrt of the alpha0 extent pi."""
-    (tlo, thi), (alo, ahi) = default_windows(model.scales, sigmas)
-    th = np.linspace(tlo, thi, n)
-    da = np.linspace(alo, ahi, n)
-    T1, T2, DA = np.meshgrid(th, th, da, indexing="ij")
-    pair = AngularPair(theta1=T1, theta2=T2, alpha1=0.5 * DA, alpha2=-0.5 * DA)
-    dens = probability_density(model, pair)
-    dt = th[1] - th[0]
-    dal = da[1] - da[0]
-    return float(np.sqrt(dens.sum() * dt * dt * dal * math.pi))
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Dimensionless validity diagnostics of the linearized amplitude."""
@@ -338,9 +295,6 @@ class ValidityReport:
                 "L_threshold_um": "pass" if self.length_ok else "warn",
             },
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def validity_report(config: ExperimentConfig, scales: DerivedScales) -> ValidityReport:

@@ -54,7 +54,7 @@ def azimuthal_widths(scales: DerivedScales) -> AzimuthalDistribution:
     """Widths of the azimuthal distribution for a noncollinear config."""
     if scales.theta0 <= 0.0:
         raise RegimeError("collinear regime: azimuthal ridge undefined")
-    return AzimuthalDistribution(coincidence_width=scales.dtheta_p / scales.theta0)
+    return AzimuthalDistribution(coincidence_width=scales.b)
 
 
 def r_parameter(dist: AzimuthalDistribution) -> float:
@@ -112,6 +112,11 @@ def _entropy_bits(weights: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
+def double_gaussian_k(a: float, b: float) -> float:
+    """Schmidt number (a^2 + b^2) / 2ab of the double-Gaussian state."""
+    return (a * a + b * b) / (2.0 * a * b)
+
+
 def schmidt_analytic(a: float, b: float, n_max: int | None = None) -> SchmidtSpectrum:
     """Closed-form Schmidt spectrum of the double-Gaussian state.
 
@@ -143,7 +148,6 @@ def schmidt_analytic(a: float, b: float, n_max: int | None = None) -> SchmidtSpe
     n = np.arange(n_max + 1)
     weights = lam0 * q**n
     residual = q ** (n_max + 1)
-    k = (a * a + b * b) / (2.0 * a * b)
     # closed-form entropy of the full geometric spectrum
     if q > 0.0:
         entropy = -(math.log2(lam0) + q / (1.0 - q) * math.log2(q))
@@ -152,7 +156,7 @@ def schmidt_analytic(a: float, b: float, n_max: int | None = None) -> SchmidtSpe
     return SchmidtSpectrum(
         method=SchmidtMethod.ANALYTIC_DG,
         weights=weights,
-        schmidt_number=k,
+        schmidt_number=double_gaussian_k(a, b),
         entropy_bits=entropy,
         residual=float(residual),
         truncated=truncated,
@@ -232,7 +236,7 @@ def schmidt_numeric(
     return spectrum
 
 
-def oam_closed_form_k(dist: AzimuthalDistribution, theta0_w_over_lambda: float) -> float:
+def oam_closed_form_k(theta0_w_over_lambda: float) -> float:
     """The closed-form OAM Schmidt number 2 sqrt(2 pi) theta0 w / lambda_p."""
     return 2.0 * math.sqrt(2.0 * math.pi) * theta0_w_over_lambda
 
@@ -279,7 +283,7 @@ def oam_spectrum(
     weights = raw / total
     # closed form expressed through the coincidence width:
     # theta0 w / lambda_p = 1 / (pi * dac)
-    closed = oam_closed_form_k(dist, 1.0 / (math.pi * dac))
+    closed = oam_closed_form_k(1.0 / (math.pi * dac))
     return SchmidtSpectrum(
         method=SchmidtMethod.OAM,
         weights=weights,

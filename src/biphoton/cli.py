@@ -23,9 +23,10 @@ from .amplitude import (
     validity_report,
 )
 from .analysis import (
-    SchmidtMethod,
     azimuthal_density,
     azimuthal_widths,
+    double_gaussian_k,
+    oam_closed_form_k,
     oam_spectrum,
     r_parameter,
     schmidt_analytic,
@@ -46,6 +47,7 @@ from .errors import (
     ResolutionError,
 )
 from .multichannel import (
+    DEFAULT_SAFETY_FACTOR,
     build_state,
     equally_spaced_layout,
     multichannel_entanglement,
@@ -70,9 +72,7 @@ def _emit(args, payload: dict, name: str) -> None:
 
 def _load_config(args) -> RunConfig:
     overrides = {
-        "out_format": getattr(args, "format", None),
         "grid": getattr(args, "grid", None),
-        "include_walkoff": getattr(args, "walkoff", None),
         "published_constants": (
             True if getattr(args, "published_constants", False) else None
         ),
@@ -94,9 +94,6 @@ def cmd_params(args) -> int:
     scales = derive_scales(exp)
     report = validity_report(exp, scales)
     dist = azimuthal_widths(scales)
-    r = r_parameter(dist)
-    k_dg = (scales.a**2 + scales.b**2) / (2.0 * scales.a * scales.b)
-    k_oam_closed = 2.0 * math.sqrt(2.0 * math.pi) * scales.theta0 * exp.w / exp.lambda_p
     payload = {
         "config": {
             "lambda_p_um": exp.lambda_p,
@@ -121,9 +118,9 @@ def cmd_params(args) -> int:
         "entanglement": {
             "coincidence_width_rad": dist.coincidence_width,
             "single_width_rad": dist.single_width,
-            "R": r,
-            "K_double_gaussian": k_dg,
-            "K_oam_closed_form": k_oam_closed,
+            "R": r_parameter(dist),
+            "K_double_gaussian": double_gaussian_k(scales.a, scales.b),
+            "K_oam_closed_form": oam_closed_form_k(scales.theta0 * exp.w / exp.lambda_p),
         },
     }
     _emit(args, payload, "params")
@@ -219,7 +216,7 @@ def cmd_multichannel(args) -> int:
     scales = derive_scales(cfg.experiment())
     dist = azimuthal_widths(scales)
     ring_thickness = scales.dtheta_L / scales.theta0
-    fiber_radius = args.fiber_radius if args.fiber_radius else 2.0 * ring_thickness
+    fiber_radius = 2.0 * ring_thickness if args.fiber_radius is None else args.fiber_radius
     layout = equally_spaced_layout(
         args.planes,
         fiber_radius=fiber_radius,
@@ -253,15 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (defaults to built-in reference)")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--format", choices=["csv", "json"], help="report format")
     common.add_argument("--grid", type=int, help="grid resolution")
     common.add_argument("--lambda-p", dest="lambda_p", help="pump wavelength (e.g. 0.4047um)")
     common.add_argument("--waist", help="pump waist (e.g. 1464um)")
     common.add_argument("--length", help="crystal length (e.g. 0.5cm)")
     common.add_argument("--phi0", help="optic-axis angle (rad)")
-    wk = common.add_mutually_exclusive_group()
-    wk.add_argument("--walkoff", dest="walkoff", action="store_true", default=None)
-    wk.add_argument("--no-walkoff", dest="walkoff", action="store_false")
     common.add_argument(
         "--published-constants", action="store_true",
         help="use the published 0.395 Gaussian constant instead of the half-maximum 0.359",
@@ -287,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multichannel", parents=[common], help="channelization report")
     p.add_argument("--planes", "-N", type=int, required=True)
     p.add_argument("--fiber-radius", type=float, help="fiber angular radius, rad")
-    p.add_argument("--safety", type=float, default=3.0)
+    p.add_argument("--safety", type=float, default=DEFAULT_SAFETY_FACTOR)
     p.set_defaults(func=cmd_multichannel)
     return parser
 

@@ -9,13 +9,13 @@ suffix. CLI flags override file values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .crystal import ExperimentConfig, SellmeierSet, load_crystal
+from .crystal import ExperimentConfig, load_crystal, read_key_values
 from .errors import ConfigError
 
 _LENGTH_UNITS = {"um": 1.0, "μm": 1.0, "mkm": 1.0, "mm": 1e3, "cm": 1e4, "m": 1e6}
@@ -53,25 +53,20 @@ def _parse_unit(text: str, units: dict, what: str) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Experiment parameters plus output and mode switches."""
+    """Experiment parameters plus the grid size and the Gaussian-constant switch."""
 
     lambda_p: float = 0.4047  # um
     w: float = 1464.0  # um
     L: float = 5000.0  # um
     phi0: float = 0.7  # rad
     crystal_name: str = "BBO"
-    out_dir: Path = Path(".")
-    out_format: str = "csv"
     grid: int = 201
-    include_walkoff: bool = True
     published_constants: bool = False
-    crystal: SellmeierSet | None = field(default=None, repr=False)
 
     def experiment(self) -> ExperimentConfig:
-        crystal = self.crystal or load_crystal(self.crystal_name)
         return ExperimentConfig(
             lambda_p=self.lambda_p, w=self.w, L=self.L, phi0=self.phi0,
-            crystal=crystal,
+            crystal=load_crystal(self.crystal_name),
         )
 
 
@@ -82,8 +77,6 @@ _KEY_PARSERS = {
     "phi0": ("phi0", parse_angle),
     "crystal": ("crystal_name", str),
     "grid": ("grid", int),
-    "format": ("out_format", str),
-    "include_walkoff": ("include_walkoff", lambda s: s.lower() in ("1", "true", "yes")),
     "published_constants": (
         "published_constants",
         lambda s: s.lower() in ("1", "true", "yes"),
@@ -112,28 +105,17 @@ def load_run_config(path: str | Path | None = None, **overrides) -> RunConfig:
         source = str(path)
 
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
+    for key, (lineno, val) in read_key_values(text, source).items():
         if key not in _KEY_PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         attr, parser = _KEY_PARSERS[key]
         try:
-            values[attr] = parser(val.strip())
-        except ConfigError:
-            raise
+            values[attr] = parser(val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
 
     values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = RunConfig(**values)
-    if cfg.out_format not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {cfg.out_format!r}")
     if cfg.grid < 8:
         raise ConfigError(f"grid resolution too small: {cfg.grid}")
     return cfg

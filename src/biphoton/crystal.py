@@ -19,6 +19,10 @@ from .errors import ConfigError, RegimeError, WavelengthRangeError
 _ROOT_TOL = 1e-12  # bisection x-tolerance, rad
 _PRESCAN_POINTS = 200
 
+# Accepted pump waist and crystal length, um: admits the plane-wave limit
+# (w = 1e12 um), and no derived scale overflows or rounds to zero within it.
+LENGTH_RANGE_UM = (1e-3, 1e13)
+
 
 @dataclass(frozen=True)
 class SellmeierSet:
@@ -168,8 +172,8 @@ class ExperimentConfig:
 
     Attributes:
         lambda_p: pump wavelength, um.
-        w: pump waist, um.
-        L: crystal length along the pump direction, um.
+        w: pump waist, um, within LENGTH_RANGE_UM.
+        L: crystal length along the pump direction, um, within LENGTH_RANGE_UM.
         phi0: optic-axis angle, rad, in [0, pi/2].
         crystal: dispersion dataset.
     """
@@ -181,14 +185,15 @@ class ExperimentConfig:
     crystal: SellmeierSet
 
     def __post_init__(self):
-        for name in ("lambda_p", "w", "L"):
-            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
+        lo, hi = LENGTH_RANGE_UM
+        for name in ("w", "L"):
+            if not lo <= getattr(self, name) <= hi:  # also rejects nan and inf
                 raise ConfigError(
-                    f"{name} must be finite and > 0, got {getattr(self, name)!r}"
+                    f"{name} must lie in [{lo:g}, {hi:g}] um, got {getattr(self, name)!r}"
                 )
         if not 0.0 <= self.phi0 <= math.pi / 2:  # also rejects nan and inf
             raise ConfigError(f"phi0 must lie in [0, pi/2], got {self.phi0!r}")
-        self.crystal._check_range(self.lambda_p)
+        self.crystal._check_range(self.lambda_p)  # also rejects nan, inf and <= 0
         self.crystal._check_range(2.0 * self.lambda_p)
 
 
@@ -279,8 +284,10 @@ def load_crystal(source: str | Path = "BBO") -> SellmeierSet:
     return _parse_crystal(text, str(source))
 
 
-def _parse_crystal(text: str, source: str) -> SellmeierSet:
-    kv: dict[str, str] = {}
+def read_key_values(text: str, source: str) -> dict[str, tuple[int, str]]:
+    """{key: (line number, value)} of a crystal or run-config file; blank
+    lines and `#` comments are skipped, a repeated key keeps its last value."""
+    kv = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -288,7 +295,12 @@ def _parse_crystal(text: str, source: str) -> SellmeierSet:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        kv[key.strip()] = (lineno, value.strip())
+    return kv
+
+
+def _parse_crystal(text: str, source: str) -> SellmeierSet:
+    kv = {key: value for key, (_, value) in read_key_values(text, source).items()}
 
     def fnum(key: str) -> float:
         try:

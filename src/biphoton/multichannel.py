@@ -8,7 +8,6 @@ are reserved in the report schema but not modeled.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,10 +43,10 @@ class ChannelLayout:
         if az[0] <= -math.pi / 2 or az[-1] > math.pi / 2:
             raise ConfigError("plane azimuths must lie in (-pi/2, pi/2]")
         for name in ("fiber_radius", "ring_thickness", "coincidence_width"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.safety_factor < 1.0:
-            raise ConfigError("safety factor must be >= 1")
+            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ConfigError(f"{name} must be > 0 and finite")
+        if not 1.0 <= self.safety_factor < math.inf:  # also rejects nan
+            raise ConfigError("safety factor must be >= 1 and finite")
 
     @property
     def n_planes(self) -> int:
@@ -106,8 +105,11 @@ class LayoutReport:
             "hom_visibility": 1.0,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+
+def _required_gap(fiber_radius: float, coincidence_width: float, safety: float) -> float:
+    """Smallest plane gap that clears the fiber diameter and the
+    coincidence width by the safety factor."""
+    return safety * max(2.0 * fiber_radius, coincidence_width)
 
 
 def channel_overlap(layout: ChannelLayout, gap: float) -> float:
@@ -121,8 +123,9 @@ def validate_layout(layout: ChannelLayout) -> LayoutReport:
     safety-scaled fiber diameter and coincidence width."""
     gaps = layout.gaps()
     min_gap = min(gaps)
-    fiber_diameter = 2.0 * layout.fiber_radius
-    required = layout.safety_factor * max(fiber_diameter, layout.coincidence_width)
+    required = _required_gap(
+        layout.fiber_radius, layout.coincidence_width, layout.safety_factor
+    )
     fiber_ok = layout.fiber_radius > layout.ring_thickness
     gap_ok = min_gap > required
     constraints = {
@@ -154,7 +157,7 @@ def max_feasible_planes(
     safety_factor: float = DEFAULT_SAFETY_FACTOR,
 ) -> int:
     """Largest N whose equally spaced layout satisfies the gap constraint."""
-    required = safety_factor * max(2.0 * fiber_radius, coincidence_width)
+    required = _required_gap(fiber_radius, coincidence_width, safety_factor)
     return int(math.floor(math.pi / required))
 
 

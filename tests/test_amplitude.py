@@ -380,12 +380,6 @@ class TestValidityReport:
         with pytest.raises(RegimeError, match="collinear"):
             validity_report(ref_config, collinear)
 
-    def test_json_roundtrip(self, ref_config, ref_scales):
-        import json
-
-        rep = validity_report(ref_config, ref_scales)
-        assert json.loads(rep.to_json()) == rep.to_dict()
-
 
 class TestGridExport:
     def test_header_and_determinism(self, tmp_path, ref_scales):

@@ -73,6 +73,51 @@ class TestParams:
         assert run("params", "--config", str(tmp_path)) == 2
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("params", "--waist", "1e300m"),
+        ("params", "--waist", "1e150m"),
+        ("params", "--waist", "1e-200um"),
+        ("schmidt", "--method", "analytic", "--waist", "1e100m"),
+        ("params", "--length", "1e-310um"),
+    ])
+    def test_absurd_finite_length_exit_code(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value", [("--waist", "1e-3um"), ("--length", "1e13um")])
+    def test_ends_of_the_length_range_are_accepted(self, tmp_path, capsys, flag, value):
+        assert run("params", flag, value, "--out", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize("lines,message", [
+        ("w = 2um\nL 0.5cm\n", ":3: expected 'key = value'"),
+        ("format = csv\n", ":2: unknown key 'format'"),
+        ("include_walkoff = no\n", ":2: unknown key 'include_walkoff'"),
+    ])
+    def test_bad_or_removed_config_line_exit_code(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "run.config"
+        path.write_text("# run\n" + lines)
+        assert run("params", "--config", str(path)) == 2
+        assert f"{path}{message}" in capsys.readouterr().err
+
+    def test_crystal_file_line_without_equals_exit_code(self, tmp_path, capsys):
+        crystal = tmp_path / "bad.crystal"
+        crystal.write_text("name = BBO\n\nordinary_A 2.7359\n")
+        config = tmp_path / "run.config"
+        config.write_text(f"crystal = {crystal}\n")
+        assert run("params", "--config", str(config)) == 2
+        assert f"{crystal}:3: expected 'key = value'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--format", "json"), ("--no-walkoff",), ("--walkoff",),
+    ])
+    def test_removed_flags_are_rejected(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run("params", *flags)
+        assert exc.value.code == 2
+
 
 class TestScan:
     def test_index_difference_crosses_window_edges(self, tmp_path):
@@ -224,6 +269,19 @@ class TestMultichannelCommand:
         ) == 0
         payload = json.loads((tmp_path / "multichannel.json").read_text())
         assert payload["K"] == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--fiber-radius", "0", "fiber_radius must be > 0"),
+        ("--fiber-radius", "nan", "fiber_radius must be > 0"),
+        ("--fiber-radius", "inf", "fiber_radius must be > 0"),
+        ("--safety", "nan", "safety factor must be >= 1"),
+        ("--safety", "inf", "safety factor must be >= 1"),
+    ])
+    def test_bad_fiber_radius_or_safety_exit_code(self, capsys, flag, value, message):
+        assert run("multichannel", "-N", "2", f"{flag}={value}") == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestUnwritableOut:

@@ -1,4 +1,5 @@
-"""The shared CSV writer: byte-for-byte equal to csv.writer on the same values."""
+"""The shared CSV writer, byte-for-byte equal to csv.writer on the same
+values, and the key = value reader behind crystal and run-config files."""
 
 import csv
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from biphoton.configio import CSV_BLOCK_ROWS, write_csv
+from biphoton.crystal import read_key_values
 
 N = CSV_BLOCK_ROWS
 
@@ -107,3 +109,12 @@ class TestWriteCsv:
         assert lines[1] == "0,-0"
         assert lines[3] == "2,1e-300"
         assert lines[7] == "6,4.94065645841e-324"
+
+
+class TestReadKeyValues:
+    def test_comments_blanks_and_line_numbers(self):
+        text = "# header\n\n  w = 2um  \nL=0.5cm\n# w = 9um\nw = 3um\n"
+        assert read_key_values(text, "x.config") == {"w": (6, "3um"), "L": (4, "0.5cm")}
+
+    def test_value_keeps_later_equals_signs(self):
+        assert read_key_values("provenance = a=b\n", "x") == {"provenance": (1, "a=b")}
