@@ -1,8 +1,9 @@
 """Azimuthal entanglement quantified three ways.
 
 Width ratio R, the analytic double-Gaussian Schmidt spectrum, and the OAM
-spectrum, plus a discretized-kernel SVD oracle used to cross-validate the
-closed forms. Entropies are in bits.
+spectrum, plus two oracles used to cross-validate the closed forms: a
+discretized-kernel eigensolve/SVD and a trapezoid check of the Fourier
+coefficients. Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from .errors import ConfigError, RegimeError, ResolutionError
 MODE_CAP = 10**6
 ANALYTIC_RESIDUAL = 1e-9
 OAM_RESIDUAL = 1e-12
+# schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
+# would need more than NUMERIC_MEMORY_CAP bytes. 7 is its most expensive
+# path, the SVD: the matrix, both factors, LAPACK's copy and workspace
+# (about 3 matrices at peak on the eigenvalue paths).
+NUMERIC_MATRICES = 7
+NUMERIC_MEMORY_CAP = 2 * 2**30
 
 
 class SchmidtMethod(Enum):
@@ -185,6 +192,28 @@ def schmidt_mode(n: int, a: float, b: float, alpha):
     return math.sqrt(scale) * hermite_gaussian(n, scale * np.asarray(alpha, float))
 
 
+def _parity_eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric centrosymmetric matrix (mat == J mat J).
+
+    The orthogonal similarity Q = [I J; I -J]/sqrt(2) splits it exactly
+    into an even block A + BJ (with the middle row and column, scaled by
+    sqrt(2), when n is odd) and an odd block A - BJ, where A and B are
+    the top-left and top-right m x m corners, m = n // 2 (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976). Two half-size eigensolves cost about a
+    quarter of one full-size one.
+    """
+    n = len(mat)
+    m = n // 2
+    corner = mat[:m, :m]
+    flipped = mat[:m, n - m :][:, ::-1]
+    even = corner + flipped
+    odd = corner - flipped
+    if n % 2:
+        middle = math.sqrt(2.0) * mat[:m, m]
+        even = np.block([[even, middle[:, None]], [middle[None, :], mat[m, m]]])
+    return np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)))
+
+
 def schmidt_numeric(
     kernel,
     lo: float,
@@ -193,11 +222,22 @@ def schmidt_numeric(
     feature_width: float | None = None,
     return_modes: bool = False,
 ):
-    """SVD oracle: Schmidt spectrum of a two-argument kernel on [lo, hi]^2.
+    """Quadrature oracle: Schmidt spectrum of a two-argument kernel on [lo, hi]^2.
 
-    Midpoint-rule quadrature weights are folded into the matrix so the
-    singular values are grid-independent once converged. If feature_width
-    is given, the grid must put at least 8 points across it.
+    Midpoint-rule quadrature weights are folded into the n x n matrix so
+    the singular values are grid-independent once converged. If
+    feature_width is given, the grid must put at least 8 points across
+    it. A matrix whose n x n working set would exceed NUMERIC_MEMORY_CAP
+    bytes is refused (ConfigError) before anything is allocated.
+
+    The weights are the squared singular values, found by the cheapest
+    route the matrix allows:
+    - symmetric and centrosymmetric (a kernel with K(x, y) = K(y, x) =
+      K(-x, -y) on a window symmetric about 0, as the double Gaussian on
+      [-4a, 4a]): eigvalsh on the even and odd parity blocks, each of
+      half the size;
+    - symmetric only: dense eigvalsh;
+    - otherwise, or with return_modes=True: dense SVD.
 
     Returns the SchmidtSpectrum, or (spectrum, left_modes, right_modes)
     with return_modes=True (mode columns include the 1/sqrt(h) quadrature
@@ -213,14 +253,22 @@ def schmidt_numeric(
             f"across the narrowest feature; need at least {required}",
             required_points=required,
         )
+    needed = NUMERIC_MATRICES * 8 * n * n
+    if needed > NUMERIC_MEMORY_CAP:
+        raise ConfigError(
+            f"grid of {n} points needs {needed} bytes for {NUMERIC_MATRICES} "
+            f"{n} x {n} matrices, more than the {NUMERIC_MEMORY_CAP} byte cap"
+        )
     x = lo + (np.arange(n) + 0.5) * h
     mat = np.asarray(kernel(x[:, None], x[None, :]), dtype=float) * h
-    symmetric = np.allclose(mat, mat.T, atol=1e-13 * max(1.0, np.abs(mat).max()))
+    atol = 1e-13 * max(1.0, np.abs(mat).max())
+    symmetric = np.allclose(mat, mat.T, atol=atol)
     if return_modes or not symmetric:
         u, s, vt = np.linalg.svd(mat)
+    elif np.allclose(mat, mat[::-1, ::-1], atol=atol):
+        s = np.abs(_parity_eigvalsh(mat))
     else:
         s = np.abs(np.linalg.eigvalsh(mat))
-        u = vt = None
     weights = s * s
     weights = np.sort(weights)[::-1]
     weights /= weights.sum()
@@ -326,20 +374,40 @@ def oam_mode_gram(l_max: int, n_quad: int = 4001) -> np.ndarray:
     return np.trapezoid(m[:, None, :] * m[None, :, :], alpha, axis=-1)
 
 
+def _trapezoid_cosines(f: np.ndarray, x: np.ndarray, l_max: int) -> np.ndarray:
+    """np.trapezoid(f * cos(l x), x) for l = 0..l_max, all at once.
+
+    Blocked exponentials: with l = g B + j, B = isqrt(l_max) + 1,
+    exp(i l x) = exp(i g B x) exp(i j x), so two tables of at most
+    B x len(x) exponentials and one matrix product with the
+    trapezoid-weighted f give every coefficient as a real part. The
+    weights come from np.diff(x), as np.trapezoid's do.
+    """
+    steps = np.diff(x)
+    weights = np.zeros(len(x))
+    weights[:-1] += steps / 2.0
+    weights[1:] += steps / 2.0
+    block = math.isqrt(l_max) + 1
+    giants = -(-(l_max + 1) // block)
+    baby = np.exp(1j * np.outer(np.arange(block), x))
+    giant = np.exp(1j * np.outer(block * np.arange(giants), x))
+    return ((giant * (weights * f)) @ baby.T).real.ravel()[: l_max + 1]
+
+
 def coefficient_check(dist: AzimuthalDistribution, l_max: int, n_quad: int = 40001) -> float:
     """Max relative deviation of Fourier coefficients of the azimuthal
-    Gaussian from the closed form exp(-l^2 dac^2 / 2), over l = 0..l_max."""
+    Gaussian from the closed form exp(-l^2 dac^2 / 2), over l = 0..l_max.
+
+    Each coefficient is the n_quad-point trapezoid rule on |delta| <= 10 dac;
+    all l = 0..l_max come from one product of blocked exponentials
+    (_trapezoid_cosines) instead of one cosine table per l.
+    """
     dac = dist.coincidence_width
     half = 10.0 * dac
     delta = np.linspace(-half, half, n_quad)
     envelope = np.exp(-(delta**2) / (2.0 * dac * dac))
+    c_num = _trapezoid_cosines(envelope, delta, l_max)
     ls = np.arange(l_max + 1)
-    c_num = np.empty(l_max + 1)
-    for start in range(0, l_max + 1, 256):  # chunked: full outer product is large
-        chunk = ls[start : start + 256]
-        c_num[start : start + 256] = np.trapezoid(
-            envelope[None, :] * np.cos(chunk[:, None] * delta), delta, axis=1
-        )
     c_closed = math.sqrt(2.0 * math.pi) * dac * np.exp(-(ls.astype(float) ** 2) * dac * dac / 2.0)
     return float(np.max(np.abs(c_num - c_closed) / c_closed[0]))
 

@@ -61,12 +61,17 @@ EXIT_GEOMETRY = 5
 EXIT_OUTPUT = 6
 
 
+def _out_dir(args) -> Path:
+    """The --out directory (default: the working directory), created."""
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _emit(args, payload: dict, name: str) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.json").write_text(text + "\n")
+        (_out_dir(args) / f"{name}.json").write_text(text + "\n")
     print(text)
 
 
@@ -128,9 +133,13 @@ def cmd_params(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    lo, hi = args.range
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"--range needs finite LO < HI, got {lo!r} {hi!r}")
+    if args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}")
     cfg = _load_config(args)
     exp = cfg.experiment()
-    lo, hi = args.range
     x = np.linspace(lo, hi, args.points)
     if args.quantity == "np_minus_no":
         no2 = ordinary_index(exp.crystal, 2.0 * exp.lambda_p)
@@ -146,9 +155,7 @@ def cmd_scan(args) -> int:
         header = ["x", "sinc_sq_minus_gauss"]
     else:  # argparse choices guard this
         raise ConfigError(f"unknown scan quantity {args.quantity!r}")
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"scan_{args.quantity}.csv"
+    path = _out_dir(args) / f"scan_{args.quantity}.csv"
     write_csv(path, header, ("%.12g", "%.12g"), [(x, y)])
     print(f"wrote {path}")
     return 0
@@ -169,9 +176,7 @@ def cmd_density(args) -> int:
             f"coincidence width; need at least {required}",
             required_points=required,
         )
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "density.csv"
+    path = _out_dir(args) / "density.csv"
     rows = (
         (np.full(n, a1), alpha, azimuthal_density(dist, a1, alpha)) for a1 in alpha
     )
@@ -199,9 +204,7 @@ def cmd_schmidt(args) -> int:
         )
     else:
         spectrum = oam_spectrum(dist)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    base = out / f"schmidt_{args.method}"
+    base = _out_dir(args) / f"schmidt_{args.method}"
     spectrum.export_csv(base.with_suffix(".csv"))
     summary = spectrum.to_summary_dict()
     summary["R"] = r_parameter(dist)
@@ -234,8 +237,7 @@ def cmd_multichannel(args) -> int:
         payload["channel_weights"] = state.weights.tolist()
     _emit(args, payload, "multichannel")
     if not report.feasible:
-        failed = [k for k, v in report.constraints.items() if not v["pass"]]
-        print(f"infeasible layout: {', '.join(failed)}", file=sys.stderr)
+        print(f"infeasible layout: {', '.join(report.failed)}", file=sys.stderr)
         return EXIT_GEOMETRY
     return 0
 

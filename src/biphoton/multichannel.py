@@ -93,6 +93,11 @@ class LayoutReport:
     required_gap: float
     max_overlap: float
 
+    @property
+    def failed(self) -> list[str]:
+        """Names of the violated constraints, in report order."""
+        return [k for k, v in self.constraints.items() if not v["pass"]]
+
     def to_dict(self) -> dict:
         return {
             "feasible": self.feasible,
@@ -183,9 +188,8 @@ def build_state(layout: ChannelLayout) -> MultichannelState:
     """
     report = validate_layout(layout)
     if not report.feasible:
-        failed = [k for k, v in report.constraints.items() if not v["pass"]]
         raise InfeasibleLayoutError(
-            f"layout infeasible, violated constraint(s): {', '.join(failed)}"
+            f"layout infeasible, violated constraint(s): {', '.join(report.failed)}"
         )
     n = layout.n_planes
     mag = 1.0 / math.sqrt(2 * n)

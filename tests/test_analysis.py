@@ -22,6 +22,7 @@ from biphoton import (
     schmidt_mode,
     schmidt_numeric,
 )
+from biphoton import analysis
 
 # hand evaluation: dalpha_c = lambda_p / (pi w theta0) at the reference config
 DALPHA_C = 3.14154234838055e-4
@@ -214,6 +215,74 @@ class TestSchmidtNumeric:
         with pytest.raises(ConfigError):
             schmidt_numeric(_dg_kernel(1.0, 0.5), 1.0, -1.0, 100)
 
+    @pytest.mark.parametrize("n", [883, 884])
+    def test_parity_split_matches_dense_eigvalsh(self, n):
+        # the double Gaussian on [-4a, 4a] is centrosymmetric; build the
+        # quadrature matrix as schmidt_numeric does and solve it densely
+        a, b = 1.0, 1.0 / 13.0
+        h = 8.0 * a / n
+        x = -4.0 * a + (np.arange(n) + 0.5) * h
+        mat = _dg_kernel(a, b)(x[:, None], x[None, :]) * h
+        dense = np.linalg.eigvalsh(mat)
+        split = np.sort(analysis._parity_eigvalsh(mat))
+        assert len(split) == n
+        assert np.max(np.abs(split - dense)) < 1e-13 * np.max(np.abs(dense))
+        w = np.sort(dense**2)[::-1]
+        w /= w.sum()
+        k_dense = 1.0 / np.sum(w**2)
+        sp = schmidt_numeric(_dg_kernel(a, b), -4.0 * a, 4.0 * a, n, feature_width=b)
+        assert abs(sp.schmidt_number - k_dense) < 1e-12 * k_dense
+
+    def test_centrosymmetric_kernel_takes_the_parity_split(self, monkeypatch):
+        calls = []
+        split = analysis._parity_eigvalsh
+        monkeypatch.setattr(analysis, "_parity_eigvalsh",
+                            lambda mat: calls.append(len(mat)) or split(mat))
+        schmidt_numeric(_dg_kernel(1.0, 0.2), -4.0, 4.0, 321, feature_width=0.2)
+        assert calls == [321]
+
+    def test_symmetric_but_not_centrosymmetric_kernel_takes_dense_path(self, monkeypatch):
+        # shifting the wide Gaussian breaks K(x, y) = K(-x, -y) only
+        a, b, n = 1.0, 0.2, 640
+        def kernel(x, y):
+            return np.exp(-((x + y - 0.7) ** 2) / (2 * a * a) - ((x - y) ** 2) / (2 * b * b))
+
+        def refuse(mat):
+            raise AssertionError("parity split used on a non-centrosymmetric matrix")
+
+        monkeypatch.setattr(analysis, "_parity_eigvalsh", refuse)
+        sp = schmidt_numeric(kernel, -4.0, 4.0, n, feature_width=b)
+        h = 8.0 / n
+        x = -4.0 + (np.arange(n) + 0.5) * h
+        w = np.sort(np.linalg.eigvalsh(kernel(x[:, None], x[None, :]) * h) ** 2)[::-1]
+        w /= w.sum()
+        assert np.max(np.abs(sp.weights - w)) < 1e-13
+        assert sp.schmidt_number == pytest.approx(1.0 / np.sum(w**2), rel=1e-12)
+
+    def test_grid_over_the_memory_cap_is_refused_before_allocation(self):
+        n = math.isqrt(analysis.NUMERIC_MEMORY_CAP // (8 * analysis.NUMERIC_MATRICES)) + 1
+        needed = analysis.NUMERIC_MATRICES * 8 * n * n
+        assert needed > analysis.NUMERIC_MEMORY_CAP
+
+        def kernel(x, y):
+            raise AssertionError("kernel evaluated")
+
+        with pytest.raises(ConfigError) as exc:
+            schmidt_numeric(kernel, -4.0, 4.0, n)
+        assert f"{needed} bytes" in str(exc.value)
+
+    def test_grid_at_the_memory_cap_passes_the_guard(self):
+        n = math.isqrt(analysis.NUMERIC_MEMORY_CAP // (8 * analysis.NUMERIC_MATRICES))
+
+        class Reached(Exception):
+            pass
+
+        def kernel(x, y):  # called before any n x n array exists
+            raise Reached
+
+        with pytest.raises(Reached):
+            schmidt_numeric(kernel, -4.0, 4.0, n)
+
 
 class TestOamSpectrum:
     def test_reference_schmidt_number(self, ref_dist):
@@ -321,6 +390,39 @@ class TestCoefficientCheck:
 
     def test_reference_config(self, ref_dist):
         assert coefficient_check(ref_dist, l_max=512) < 1e-6
+
+    def test_reference_config_at_l_max_900(self, ref_dist):
+        assert coefficient_check(ref_dist, l_max=900) < 1e-14
+
+    @pytest.mark.parametrize("l_max", [0, 1, 3, 4, 24, 25, 37])
+    def test_blocked_exponentials_match_per_l_trapezoid(self, l_max):
+        # per-l np.trapezoid reference, on the check's uniform grid and on
+        # a non-uniform one; l_max straddles the block boundaries B^2
+        dac = 0.02
+        uniform = np.linspace(-10.0 * dac, 10.0 * dac, 2001)
+        rng = np.random.default_rng(7)
+        ragged = np.sort(rng.uniform(-10.0 * dac, 10.0 * dac, 1500))
+        for delta in (uniform, ragged):
+            f = np.exp(-(delta**2) / (2.0 * dac * dac))
+            ref = np.array([np.trapezoid(f * np.cos(l * delta), delta)
+                            for l in range(l_max + 1)])
+            got = analysis._trapezoid_cosines(f, delta, l_max)
+            assert got.shape == (l_max + 1,)
+            assert np.max(np.abs(got - ref)) < 1e-14 * ref[0]
+
+    def test_matches_per_l_trapezoid_deviation(self):
+        # coarse quadrature: l near 2 pi / h aliases onto l = 0, so the
+        # deviation is of order 1, and it must equal the per-l trapezoid's
+        dac, l_max, n_quad = 0.05, 800, 121
+        dist = AzimuthalDistribution(coincidence_width=dac)
+        delta = np.linspace(-10.0 * dac, 10.0 * dac, n_quad)
+        f = np.exp(-(delta**2) / (2.0 * dac * dac))
+        ls = np.arange(l_max + 1)
+        ref = np.array([np.trapezoid(f * np.cos(l * delta), delta) for l in ls])
+        closed = math.sqrt(2.0 * math.pi) * dac * np.exp(-(ls**2) * dac * dac / 2.0)
+        want = np.max(np.abs(ref - closed) / closed[0])
+        assert want > 1e-3
+        assert coefficient_check(dist, l_max, n_quad=n_quad) == pytest.approx(want, abs=1e-14)
 
 
 class TestAzimuthalDensity:

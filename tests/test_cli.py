@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from biphoton.analysis import NUMERIC_MATRICES
 from biphoton.cli import main
 
 
@@ -167,6 +168,27 @@ class TestScan:
         assert (a / "scan_sincfit.csv").read_bytes() == (b / "scan_sincfit.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("bounds,points,message", [
+        (("nan", "1"), "3", "--range needs finite LO < HI"),
+        (("0", "inf"), "3", "--range needs finite LO < HI"),
+        (("1", "0"), "3", "--range needs finite LO < HI"),
+        (("1", "1"), "3", "--range needs finite LO < HI"),
+        (("0", "1"), "0", "--points must be >= 2"),
+        (("0", "1"), "-1", "--points must be >= 2"),
+        (("0", "1"), "1", "--points must be >= 2"),
+    ])
+    def test_bad_range_or_points_exit_code(self, tmp_path, capsys, bounds, points, message):
+        out = tmp_path / "out"
+        assert run(
+            "scan", "--quantity", "sincfit", "--range", *bounds,
+            "--points", points, "--out", str(out),
+        ) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestDensity:
     def test_grid_and_ridge(self, tmp_path):
         # a 2 um waist widens the coincidence ridge enough for a 201-point
@@ -228,6 +250,14 @@ class TestSchmidt:
     def test_numeric_resolution_exit_code(self, capsys):
         assert run("schmidt", "--method", "numeric", "--grid", "100") == 4
         assert "resolution" in capsys.readouterr().err
+
+    def test_numeric_grid_over_the_memory_cap_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("schmidt", "--method", "numeric", "--grid", "100000000",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{NUMERIC_MATRICES * 8 * 10**16} bytes" in err
+        assert not out.exists()
 
     def test_oam_summary(self, tmp_path):
         assert run("schmidt", "--method", "oam", "--out", str(tmp_path)) == 0

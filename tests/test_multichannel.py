@@ -74,6 +74,7 @@ class TestValidateLayout:
         assert not report.feasible
         assert not report.constraints["plane_gaps"]["pass"]
         assert report.constraints["fiber_covers_ring"]["pass"]
+        assert report.failed == ["plane_gaps"]
 
     def test_fiber_smaller_than_ring_infeasible(self):
         layout = ChannelLayout(
@@ -85,6 +86,7 @@ class TestValidateLayout:
         report = validate_layout(layout)
         assert not report.feasible
         assert not report.constraints["fiber_covers_ring"]["pass"]
+        assert report.failed == ["fiber_covers_ring"]
 
     def test_feasibility_monotone_in_widths(self):
         azimuths = tuple(np.linspace(-1.4, 1.4, 9))
