@@ -30,7 +30,7 @@ from .analysis import (
     oam_spectrum,
     r_parameter,
     schmidt_analytic,
-    schmidt_mode,
+    schmidt_modes,
     schmidt_numeric,
 )
 from .configio import RunConfig, load_run_config

@@ -66,7 +66,7 @@ class AngularPair:
     def __post_init__(self):
         for name in ("theta1", "theta2"):
             th = np.asarray(getattr(self, name), dtype=float)
-            if np.any(th < 0.0) or np.any(th > math.pi):
+            if ((th < 0.0) | (th > math.pi)).any():
                 raise ConfigError(f"{name} must lie in [0, pi]")
 
     @property
@@ -331,16 +331,15 @@ def export_grid_csv(
     alpha0: float = 0.0,
 ) -> None:
     """Write the density over a (theta1, theta2, alpha1-alpha2) grid as CSV
-    with columns theta1,theta2,alpha1,alpha2,value (radians, peak-normalized)."""
+    with columns theta1,theta2,alpha1,alpha2,value (radians, peak-normalized).
+
+    The density is evaluated one (theta1, theta2) pair at a time.
+    """
     a1 = alpha0 + 0.5 * dalpha
     a2 = alpha0 - 0.5 * dalpha
-
-    def blocks():
-        for t1 in theta:
-            for t2 in theta:
-                th1, th2 = np.full(a1.shape, t1), np.full(a1.shape, t2)
-                vals = probability_density(model, AngularPair(th1, th2, a1, a2))
-                yield th1, th2, a1, a2, np.atleast_1d(vals)
+    rows = (probability_density(model, AngularPair(t1, t2, a1, a2))
+            for t1 in theta for t2 in theta)
 
     write_csv(path, ("theta1", "theta2", "alpha1", "alpha2", "value"),
-              ("%.12g",) * 5, blocks())
+              [[("%.12g", theta)], [("%.12g", theta)], [("%.12g", a1), ("%.12g", a2)]],
+              rows)

@@ -107,11 +107,11 @@ class SchmidtSpectrum:
 
     def export_csv(self, path: str | Path) -> None:
         if self.oam_l is not None:
-            write_csv(path, ("l", "parity", "weight"), ("%d", "%s", "%.12g"),
-                      [(self.oam_l, self.oam_parity, self.weights)])
+            write_csv(path, ("l", "parity", "weight"),
+                      [[("%d", self.oam_l), ("%s", self.oam_parity)]], [self.weights])
         else:
-            write_csv(path, ("index", "weight"), ("%d", "%.12g"),
-                      [(range(len(self.weights)), self.weights)])
+            write_csv(path, ("index", "weight"),
+                      [[("%d", range(len(self.weights)))]], [self.weights])
 
 
 def _entropy_bits(weights: np.ndarray) -> float:
@@ -170,26 +170,22 @@ def schmidt_analytic(a: float, b: float, n_max: int | None = None) -> SchmidtSpe
     )
 
 
-def hermite_gaussian(n: int, x):
-    """Orthonormal Hermite-Gaussian function u_n(x), stable three-term
-    recurrence in the normalized functions."""
-    x = np.asarray(x, dtype=float)
-    u_prev = np.zeros_like(x)
-    u = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    for k in range(n):
-        u, u_prev = (
-            x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1.0)) * u_prev,
-            u,
-        )
-    return u
-
-
-def schmidt_mode(n: int, a: float, b: float, alpha):
-    """Schmidt mode psi_n(alpha) = (2/ab)^(1/4) u_n(sqrt(2) alpha/sqrt(ab))."""
-    if n < 0:
+def schmidt_modes(n_max: int, a: float, b: float, alpha) -> np.ndarray:
+    """Schmidt modes psi_0..psi_n_max at alpha, one mode per row:
+    psi_n(alpha) = (2/ab)^(1/4) u_n(sqrt(2) alpha/sqrt(ab)), with u_n the
+    orthonormal Hermite-Gaussian functions from one run of their stable
+    three-term recurrence."""
+    if n_max < 0:
         raise ConfigError("mode index must be >= 0")
     scale = math.sqrt(2.0 / (a * b))
-    return math.sqrt(scale) * hermite_gaussian(n, scale * np.asarray(alpha, float))
+    x = scale * np.asarray(alpha, dtype=float)
+    u = np.empty((n_max + 1, *x.shape))
+    u[0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    u_prev = np.zeros_like(x)
+    for k in range(n_max):
+        u[k + 1] = x * math.sqrt(2.0 / (k + 1)) * u[k] - math.sqrt(k / (k + 1.0)) * u_prev
+        u_prev = u[k]
+    return math.sqrt(scale) * u
 
 
 def _parity_eigvalsh(mat: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .multichannel import (
     DEFAULT_SAFETY_FACTOR,
+    MAX_PLANES,
     build_state,
     equally_spaced_layout,
     multichannel_entanglement,
@@ -156,7 +157,7 @@ def cmd_scan(args) -> int:
     else:  # argparse choices guard this
         raise ConfigError(f"unknown scan quantity {args.quantity!r}")
     path = _out_dir(args) / f"scan_{args.quantity}.csv"
-    write_csv(path, header, ("%.12g", "%.12g"), [(x, y)])
+    write_csv(path, header, [[("%.12g", x)]], [y])
     print(f"wrote {path}")
     return 0
 
@@ -177,10 +178,10 @@ def cmd_density(args) -> int:
             required_points=required,
         )
     path = _out_dir(args) / "density.csv"
-    rows = (
-        (np.full(n, a1), alpha, azimuthal_density(dist, a1, alpha)) for a1 in alpha
-    )
-    write_csv(path, ("alpha1", "alpha2", "density"), ("%.12g",) * 3, rows)
+    # one row of the map at a time: the n x n density is never held
+    rows = (azimuthal_density(dist, a1, alpha) for a1 in alpha)
+    axis = [("%.12g", alpha)]
+    write_csv(path, ("alpha1", "alpha2", "density"), [axis, axis], rows)
     print(f"wrote {path}")
     return 0
 
@@ -215,6 +216,8 @@ def cmd_schmidt(args) -> int:
 
 
 def cmd_multichannel(args) -> int:
+    if args.planes > MAX_PLANES:
+        raise ConfigError(f"-N {args.planes} is above the limit of {MAX_PLANES} planes")
     cfg = _load_config(args)
     scales = derive_scales(cfg.experiment())
     dist = azimuthal_widths(scales)

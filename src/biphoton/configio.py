@@ -8,6 +8,8 @@ suffix. CLI flags override file values.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -23,7 +25,8 @@ _ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 
 REFERENCE_CONFIG_NAME = "reference.config"
 
-# Rows formatted per `%` call in write_csv; bounds its memory, not the file's.
+# Rows of the last axis formatted per `%` call in write_csv; bounds its
+# memory, not the file's.
 CSV_BLOCK_ROWS = 4096
 
 
@@ -121,23 +124,54 @@ def load_run_config(path: str | Path | None = None, **overrides) -> RunConfig:
     return cfg
 
 
-def write_csv(path: str | Path, header, formats, blocks) -> None:
-    """Write a header row, then the rows of each block, as CSV.
+def write_csv(path: str | Path, header, axes, values) -> None:
+    """Write a product table as CSV: a header row, then one row for each
+    coordinate of the C-order product of `axes`, ending in its value.
 
-    `formats` holds one %-format per column ("%d", "%s", "%.12g"); each
-    block is a tuple of equal-length columns, arrays or sliceable sequences
-    such as `range`, converted to arrays a run at a time. The bytes are those
-    `csv.writer` gives for the same fields: CRLF row ends and no quoting,
-    which none of these fields needs. Rows are formatted CSV_BLOCK_ROWS at
-    a time with one `%` call on a repeated row template.
+    An axis is a sequence of (format, column) pairs: equal-length columns
+    (arrays or sliceable sequences such as `range`) with formats "%d", "%s"
+    or "%.12g". `values` yields the "%.12g" value rows, one per coordinate
+    of the outer axes in C order, each as long as the last axis: `[y]` for
+    one axis, an array's rows, or a generator computing them as they are
+    written. The bytes are those `csv.writer` gives for the same fields:
+    CRLF row ends and no quoting, which none of these fields needs.
+
+    Each coordinate is formatted once: the outer ones into a row prefix p,
+    the last axis, CSV_BLOCK_ROWS rows at a time, into a block of rows with
+    the value's "%.12g" left open. Each block of values is then written
+    with one `%` call on the block with p in front of every row.
     """
-    row = ",".join(formats) + "\r\n"
+    *outer, inner = axes
+    prefixes = [""]
+    for axis in outer:
+        rows = _axis_text(axis, 0, len(axis[0][1])).split("\r\n")[:-1]
+        prefixes = [p + r + "," for p in prefixes for r in rows]
+    n = len(inner[0][1])
+
+    def block(start: int) -> str:
+        text = _axis_text(inner, start, start + CSV_BLOCK_ROWS)
+        return text.replace("\r\n", ",%.12g\r\n")
+
+    if len(prefixes) > 1:  # every prefix reuses the last axis's text
+        block = functools.cache(block)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            for start in range(0, len(block[0]), CSV_BLOCK_ROWS):
-                run = [np.asarray(c[start : start + CSV_BLOCK_ROWS]) for c in block]
-                # with a string column, an object table keeps each field's own type
-                numeric = all(c.dtype.kind in "iuf" for c in run)
-                table = np.stack(run, axis=1, dtype=None if numeric else object)
-                fh.write((row * len(run[0])) % tuple(table.ravel().tolist()))
+        for p, row in zip(prefixes, values, strict=True):
+            row = np.asarray(row, dtype=float)
+            if row.shape != (n,):
+                raise ValueError(f"value row of shape {row.shape}, expected ({n},)")
+            for start in range(0, n, CSV_BLOCK_ROWS):
+                text = block(start)
+                if p:
+                    text = p + text[:-2].replace("\r\n", "\r\n" + p) + "\r\n"
+                fh.write(text % tuple(row[start : start + CSV_BLOCK_ROWS].tolist()))
+
+
+def _axis_text(axis, start: int, stop: int) -> str:
+    """Rows start:stop of an axis as CSV text, formatted with one `%` call:
+    fields joined by ",", each row ending in CRLF, every "%" doubled so that
+    the text can go into a %-template."""
+    columns = [np.asarray(col[start:stop]).tolist() for _, col in axis]
+    row = ",".join(fmt for fmt, _ in axis) + "\r\n"
+    fields = tuple(itertools.chain.from_iterable(zip(*columns, strict=True)))
+    return ((row * len(columns[0])) % fields).replace("%", "%%")

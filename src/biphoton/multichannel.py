@@ -18,6 +18,9 @@ from .configio import write_csv
 from .errors import ConfigError, InfeasibleLayoutError
 
 DEFAULT_SAFETY_FACTOR = 3.0
+# The multichannel command refuses more planes before it builds a layout: a
+# plane costs about 84 bytes of layout and report (113 MB peak RSS at 10**6).
+MAX_PLANES = 10**6
 
 
 @dataclass(frozen=True)
@@ -216,5 +219,5 @@ def export_layout_csv(layout: ChannelLayout, path: str | Path) -> None:
     gaps = np.array(layout.gaps())
     margins = gaps - report.required_gap
     write_csv(path, ("plane", "alpha_rad", "gap_to_next_rad", "gap_margin_rad"),
-              ("%d", "%.12g", "%.12g", "%.12g"),
-              [(range(gaps.size), layout.plane_azimuths, gaps, margins)])
+              [[("%d", range(gaps.size)), ("%.12g", layout.plane_azimuths),
+                ("%.12g", gaps)]], [margins])

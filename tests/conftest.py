@@ -6,6 +6,8 @@ finding, finite differences, dense quadrature) and are asserted against
 the library, not recomputed from it.
 """
 
+import csv
+
 import pytest
 
 from biphoton import (
@@ -35,3 +37,21 @@ def ref_scales(ref_config):
 @pytest.fixture(scope="session")
 def ref_dist(ref_scales):
     return azimuthal_widths(ref_scales)
+
+
+@pytest.fixture
+def csv_reference(tmp_path):
+    """A function giving the bytes csv.writer writes for a header and rows,
+    floats formatted as f'{v:.12g}': the oracle the CSV exports are
+    compared with byte for byte."""
+
+    def reference_bytes(header, rows) -> bytes:
+        path = tmp_path / "reference.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+        return path.read_bytes()
+
+    return reference_bytes

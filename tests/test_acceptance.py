@@ -30,7 +30,7 @@ from biphoton import (
     pump_index,
     r_parameter,
     schmidt_analytic,
-    schmidt_mode,
+    schmidt_modes,
     schmidt_numeric,
     transverse_sum_diff,
     validity_report,
@@ -236,7 +236,7 @@ def test_criterion_12_property_suites(ref_scales):
     # Schmidt-mode orthonormality to n = 50
     a, b = 2.0 * math.pi, 2.0 * math.pi / 50.0
     x = np.linspace(-40.0, 40.0, 20001)
-    modes = np.array([schmidt_mode(k, a, b, x) for k in range(51)])
+    modes = schmidt_modes(50, a, b, x)
     gram = modes @ modes.T * (x[1] - x[0])
     assert np.max(np.abs(gram - np.eye(51))) < 1e-8
 

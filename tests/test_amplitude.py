@@ -382,6 +382,31 @@ class TestValidityReport:
 
 
 class TestGridExport:
+    @pytest.mark.parametrize("kind", list(AmplitudeKind))
+    def test_bytes_match_per_pair_csv_writer(self, tmp_path, ref_scales, csv_reference,
+                                             kind):
+        # the grid as csv.writer writes it from one probability_density call
+        # per (theta1, theta2) pair, each field formatted on its own
+        model = AmplitudeModel(kind, ref_scales)
+        theta = THETA0 + np.linspace(-4e-4, 4e-4, 9)
+        dalpha = np.linspace(-1.2e-3, 1.2e-3, 31)
+        alpha0 = 0.4
+        path = tmp_path / "grid.csv"
+        export_grid_csv(path, model, theta, dalpha, alpha0)
+        a1, a2 = alpha0 + 0.5 * dalpha, alpha0 - 0.5 * dalpha
+
+        def rows():
+            for t1 in theta.tolist():
+                for t2 in theta.tolist():
+                    pair = AngularPair(np.full(a1.shape, t1), np.full(a1.shape, t2), a1, a2)
+                    vals = probability_density(model, pair)
+                    for row in zip(a1.tolist(), a2.tolist(), vals.tolist()):
+                        yield [t1, t2, *row]
+
+        expected = csv_reference(["theta1", "theta2", "alpha1", "alpha2", "value"], rows())
+        assert path.read_bytes() == expected
+        assert expected.count(b"\r\n") == 1 + 9 * 9 * 31
+
     def test_header_and_determinism(self, tmp_path, ref_scales):
         model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)
         theta = np.linspace(THETA0 - 1e-3, THETA0 + 1e-3, 5)

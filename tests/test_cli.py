@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from biphoton.analysis import NUMERIC_MATRICES
+from biphoton import cli
+from biphoton.analysis import NUMERIC_MATRICES, azimuthal_density, azimuthal_widths
 from biphoton.cli import main
+from biphoton.configio import load_run_config
+from biphoton.crystal import derive_scales
+from biphoton.multichannel import MAX_PLANES
 
 
 def run(*argv):
@@ -214,6 +218,20 @@ class TestDensity:
         best = min(rows, key=lambda r: abs(abs(r[0] - r[1]) - dac))
         assert best[2] == pytest.approx(math.exp(-1.0), abs=0.05)
 
+    def test_bytes_match_per_row_csv_writer(self, tmp_path, csv_reference):
+        # the map as csv.writer writes it from one azimuthal_density call per
+        # alpha1 row, each field formatted on its own
+        assert run(
+            "density", "--waist", "8um", "--grid", "240", "--out", str(tmp_path)
+        ) == 0
+        cfg = load_run_config(None, w=8.0)
+        dist = azimuthal_widths(derive_scales(cfg.experiment()))
+        alpha = np.linspace(-math.pi / 2, math.pi / 2, 240)
+        rows = ([float(a1), a2, d] for a1 in alpha for a2, d in
+                zip(alpha.tolist(), azimuthal_density(dist, a1, alpha).tolist()))
+        expected = csv_reference(["alpha1", "alpha2", "density"], rows)
+        assert (tmp_path / "density.csv").read_bytes() == expected
+
     def test_too_coarse_grid_exit_code(self, capsys):
         assert run("density", "--grid", "64") == 4
         err = capsys.readouterr().err
@@ -312,6 +330,34 @@ class TestMultichannelCommand:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("over", [1, 10**12])
+    def test_plane_count_over_the_limit_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                  over):
+        # refused before any layout is built: building one would fail here
+        def never(*args, **kwargs):
+            raise AssertionError("equally_spaced_layout reached")
+
+        monkeypatch.setattr(cli, "equally_spaced_layout", never)
+        n = MAX_PLANES + over
+        assert run("multichannel", "-N", str(n), "--out", str(tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert f"limit of {MAX_PLANES} planes" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_plane_count_at_the_limit_builds_the_layout(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(n, *args, **kwargs):
+            assert n == MAX_PLANES
+            raise Reached
+
+        monkeypatch.setattr(cli, "equally_spaced_layout", reached)
+        with pytest.raises(Reached):
+            run("multichannel", "-N", str(MAX_PLANES))
 
 
 class TestUnwritableOut:

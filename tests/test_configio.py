@@ -1,7 +1,7 @@
 """The shared CSV writer, byte-for-byte equal to csv.writer on the same
 values, and the key = value reader behind crystal and run-config files."""
 
-import csv
+import itertools
 import sys
 
 import numpy as np
@@ -11,22 +11,12 @@ from biphoton.configio import CSV_BLOCK_ROWS, write_csv
 from biphoton.crystal import read_key_values
 
 N = CSV_BLOCK_ROWS
+F = "%.12g"
 
 
-def reference_bytes(tmp_path, header, rows) -> bytes:
-    """What csv.writer writes for `rows`, floats formatted as f'{v:.12g}'."""
-    path = tmp_path / "reference.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-    return path.read_bytes()
-
-
-def written_bytes(tmp_path, header, formats, blocks) -> bytes:
+def written_bytes(tmp_path, header, axes, values) -> bytes:
     path = tmp_path / "written.csv"
-    write_csv(path, header, formats, blocks)
+    write_csv(path, header, axes, values)
     return path.read_bytes()
 
 
@@ -36,79 +26,166 @@ def float_body(n, seed=0):
     return x, np.cumsum(rng.random(n))
 
 
+def product_rows(axes, values):
+    """The rows of a product table, built the slow way: one list per row,
+    the axes' fields in C order, then the value."""
+    columns = [list(zip(*(np.asarray(c).tolist() for _, c in axis))) for axis in axes]
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return [[*sum(coords, ()), v]
+            for coords, v in zip(itertools.product(*columns), flat, strict=True)]
+
+
 class TestWriteCsv:
-    def test_all_float_body(self, tmp_path):
+    def test_all_float_body(self, tmp_path, csv_reference):
         x, y = float_body(1000)
-        expected = reference_bytes(tmp_path, ["x", "y"], zip(x.tolist(), y.tolist()))
-        got = written_bytes(tmp_path, ("x", "y"), ("%.12g", "%.12g"), [(x, y)])
+        expected = csv_reference(["x", "y"], zip(x.tolist(), y.tolist()))
+        got = written_bytes(tmp_path, ("x", "y"), [[(F, x)]], [y])
         assert got == expected
 
-    def test_int_str_float_body(self, tmp_path):
+    def test_int_str_float_body(self, tmp_path, csv_reference):
         # the OAM layout: l, parity, weight
         l_max = 700
         ls = np.concatenate(([0], np.repeat(np.arange(1, l_max + 1), 2)))
         parity = np.array(["cos"] + ["cos", "sin"] * l_max)
         w = np.exp(-(ls.astype(float) ** 2) * 1e-4)
         w /= w.sum()
-        expected = reference_bytes(
-            tmp_path, ["l", "parity", "weight"],
+        expected = csv_reference(
+            ["l", "parity", "weight"],
             ([int(l), str(p), float(v)] for l, p, v in zip(ls, parity, w)),
         )
-        got = written_bytes(tmp_path, ("l", "parity", "weight"), ("%d", "%s", "%.12g"),
-                            [(ls, parity, w)])
+        got = written_bytes(tmp_path, ("l", "parity", "weight"),
+                            [[("%d", ls), ("%s", parity)]], [w])
         assert got == expected
 
     @pytest.mark.parametrize("n", [N - 1, N, N + 1, 2 * N + 1])
-    def test_bodies_around_the_block_size(self, tmp_path, n):
+    def test_bodies_around_the_block_size(self, tmp_path, csv_reference, n):
         _, w = float_body(n, seed=n)
         index = np.arange(n)
-        expected = reference_bytes(tmp_path, ["index", "weight"],
-                                   zip(index.tolist(), w.tolist()))
-        got = written_bytes(tmp_path, ("index", "weight"), ("%d", "%.12g"), [(index, w)])
+        expected = csv_reference(["index", "weight"], zip(index.tolist(), w.tolist()))
+        got = written_bytes(tmp_path, ("index", "weight"), [[("%d", range(n))]], [w])
         assert got == expected
         assert got.count(b"\r\n") == n + 1
 
-    def test_body_split_across_blocks(self, tmp_path):
+    def test_body_split_across_blocks(self, tmp_path, csv_reference):
+        # an inner axis three blocks long under each of three prefixes: the
+        # blocks' text is reused, and an array's rows, a list and a generator
+        # of rows give the same bytes
         x, y = float_body(3 * N + 17)
-        cuts = [0, 5, 5, N + 3, 2 * N + 3, 3 * N + 17]  # one block is empty
-        blocks = [(x[a:b], y[a:b]) for a, b in zip(cuts, cuts[1:])]
-        expected = reference_bytes(tmp_path, ["x", "y"], zip(x.tolist(), y.tolist()))
-        assert written_bytes(tmp_path, ("x", "y"), ("%.12g", "%.12g"), blocks) == expected
-        whole = written_bytes(tmp_path, ("x", "y"), ("%.12g", "%.12g"), [(x, y)])
-        assert whole == expected
+        outer = np.array([-1.5, 0.0, 2.5])
+        values = np.outer(outer, y)
+        axes = [[(F, outer)], [(F, x)]]
+        expected = csv_reference(["o", "x", "v"], product_rows(axes, values))
+        for rows in (values, list(values), (r for r in values)):
+            assert written_bytes(tmp_path, ("o", "x", "v"), axes, rows) == expected
 
-    def test_blocks_from_a_generator(self, tmp_path):
+    def test_blocks_from_a_generator(self, tmp_path, csv_reference):
+        # the density layout: one block of values per alpha1, computed as it
+        # is written
         alpha = np.linspace(-1.0, 1.0, 37)
-        expected = reference_bytes(
-            tmp_path, ["a1", "a2", "d"],
+        expected = csv_reference(
+            ["a1", "a2", "d"],
             ([a1, a2, float(np.exp(-(a1 - a2) ** 2))]
              for a1 in alpha.tolist() for a2 in alpha.tolist()),
         )
-        blocks = ((np.full(alpha.size, a1), alpha, np.exp(-(a1 - alpha) ** 2))
-                  for a1 in alpha)
-        got = written_bytes(tmp_path, ("a1", "a2", "d"), ("%.12g",) * 3, blocks)
+        rows = (np.exp(-(a1 - alpha) ** 2) for a1 in alpha)
+        axis = [(F, alpha)]
+        got = written_bytes(tmp_path, ("a1", "a2", "d"), [axis, axis], rows)
         assert got == expected
 
-    @pytest.mark.parametrize("blocks", [[], [(np.zeros(0), np.zeros(0))]])
-    def test_zero_row_body_is_header_only(self, tmp_path, blocks):
-        expected = reference_bytes(tmp_path, ["x", "y"], [])
-        got = written_bytes(tmp_path, ("x", "y"), ("%.12g", "%.12g"), blocks)
+    @pytest.mark.parametrize("blocks", [[], [np.zeros(0)]])
+    def test_zero_row_body_is_header_only(self, tmp_path, csv_reference, blocks):
+        # no value rows under an empty outer axis, or the one empty row of
+        # an empty single axis
+        axes = [[(F, np.zeros(0))]]
+        if not blocks:
+            axes.append([(F, np.ones(3))])
+        expected = csv_reference(["x", "y"], [])
+        got = written_bytes(tmp_path, ("x", "y"), axes, blocks)
         assert got == expected == b"x,y\r\n"
 
-    def test_signed_zero_tiny_and_subnormal_values(self, tmp_path):
+    def test_signed_zero_tiny_and_subnormal_values(self, tmp_path, csv_reference):
         tiny = sys.float_info.min
         values = np.array([-0.0, 0.0, 1e-300, -1e-300, tiny, tiny / 3.0, 5e-324,
                            -5e-324, 1e300, 0.1 + 0.2, 123456789012345.0, 1.0 / 3.0])
         index = np.arange(values.size)
-        expected = reference_bytes(tmp_path, ["index", "value"],
-                                   zip(index.tolist(), values.tolist()))
-        got = written_bytes(tmp_path, ("index", "value"), ("%d", "%.12g"),
-                            [(index, values)])
+        expected = csv_reference(["index", "value"], zip(index.tolist(), values.tolist()))
+        got = written_bytes(tmp_path, ("index", "value"), [[("%d", index)]], [values])
         assert got == expected
         lines = got.decode().split("\r\n")
         assert lines[1] == "0,-0"
         assert lines[3] == "2,1e-300"
         assert lines[7] == "6,4.94065645841e-324"
+
+
+class TestProductTables:
+    @pytest.mark.parametrize("shape", [(5,), (4, 7), (3, 2, 6)])
+    def test_one_two_and_three_axes(self, tmp_path, csv_reference, shape):
+        rng = np.random.default_rng(len(shape))
+        axes = [[(F, rng.standard_normal(n))] for n in shape]
+        values = rng.standard_normal(shape)
+        header = [f"c{i}" for i in range(len(shape) + 1)]
+        expected = csv_reference(header, product_rows(axes, values))
+        rows = values.reshape(-1, shape[-1])
+        assert written_bytes(tmp_path, header, axes, rows) == expected
+        assert expected.count(b"\r\n") == 1 + values.size
+
+    def test_two_column_axes(self, tmp_path, csv_reference):
+        # the export_grid_csv layout, with an outer axis of two columns too
+        rng = np.random.default_rng(3)
+        outer = [("%d", np.arange(3)), ("%s", np.array(["a", "b", "c"]))]
+        inner = [(F, rng.standard_normal(5)), (F, rng.standard_normal(5))]
+        values = rng.standard_normal((3, 5))
+        axes = [outer, inner]
+        header = ["k", "name", "a1", "a2", "v"]
+        expected = csv_reference(header, product_rows(axes, values))
+        assert written_bytes(tmp_path, header, axes, values) == expected
+
+    @pytest.mark.parametrize("n", [N - 1, N, N + 1, 2 * N + 1])
+    def test_inner_axis_around_the_block_size(self, tmp_path, csv_reference, n):
+        x, y = float_body(n, seed=n)
+        outer = np.array([0.25, -7.0])
+        values = np.stack([y, -y])
+        axes = [[(F, outer)], [("%d", range(n)), (F, x)]]
+        expected = csv_reference(["o", "i", "x", "v"], product_rows(axes, values))
+        got = written_bytes(tmp_path, ("o", "i", "x", "v"), axes, values)
+        assert got == expected
+        assert got.count(b"\r\n") == 2 * n + 1
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_an_empty_axis_gives_no_rows(self, tmp_path, csv_reference, empty):
+        shape = [2, 3, 4]
+        shape[empty] = 0
+        axes = [[(F, np.arange(n, dtype=float))] for n in shape]
+        values = np.zeros((shape[0] * shape[1], shape[2]))
+        got = written_bytes(tmp_path, ("a", "b", "c", "v"), axes, values)
+        assert got == csv_reference(["a", "b", "c", "v"], []) == b"a,b,c,v\r\n"
+
+    def test_percent_in_string_fields(self, tmp_path, csv_reference):
+        # axis text goes into a %-template; a literal % must come out as one %
+        names = np.array(["50%", "%d", "%%", "a%sb", "%.12g"])
+        values = np.arange(25.0).reshape(5, 5) / 7.0
+        axes = [[("%s", names)], [("%s", names[::-1]), ("%d", range(5))]]
+        expected = csv_reference(["p", "q", "i", "v"], product_rows(axes, values))
+        got = written_bytes(tmp_path, ("p", "q", "i", "v"), axes, values)
+        assert got == expected
+        assert got.split(b"\r\n")[1] == b"50%,%.12g,0,0"
+
+    def test_extreme_values_in_axes_and_value_column(self, tmp_path, csv_reference):
+        extremes = np.array([-0.0, 1e-300, 5e-324, sys.float_info.min / 3.0,
+                             np.inf, -np.inf])
+        values = extremes[np.add.outer(np.arange(6), np.arange(6)) % 6]
+        axes = [[(F, extremes)], [(F, extremes[::-1])]]
+        expected = csv_reference(["a", "b", "v"], product_rows(axes, values))
+        got = written_bytes(tmp_path, ("a", "b", "v"), axes, values)
+        assert got == expected
+        assert got.split(b"\r\n")[1] == b"-0,-inf,-0"
+        assert b"\r\ninf,-inf,inf\r\n" in got
+
+    @pytest.mark.parametrize("values", [[np.zeros(2)], [np.zeros(4)],
+                                        [np.zeros(3), np.zeros(3)]])
+    def test_value_rows_must_match_the_axes(self, tmp_path, values):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "bad.csv", ("x", "v"), [[(F, np.zeros(3))]], values)
 
 
 class TestReadKeyValues:
