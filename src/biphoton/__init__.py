@@ -25,8 +25,6 @@ from .analysis import (
     azimuthal_density,
     azimuthal_widths,
     coefficient_check,
-    oam_mode,
-    oam_mode_gram,
     oam_spectrum,
     r_parameter,
     schmidt_analytic,

@@ -66,7 +66,7 @@ class AngularPair:
     def __post_init__(self):
         for name in ("theta1", "theta2"):
             th = np.asarray(getattr(self, name), dtype=float)
-            if ((th < 0.0) | (th > math.pi)).any():
+            if not ((th >= 0.0) & (th <= math.pi)).all():  # also rejects nan
                 raise ConfigError(f"{name} must lie in [0, pi]")
 
     @property

@@ -24,9 +24,10 @@ MODE_CAP = 10**6
 ANALYTIC_RESIDUAL = 1e-9
 OAM_RESIDUAL = 1e-12
 # schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
-# would need more than NUMERIC_MEMORY_CAP bytes. 7 is its most expensive
-# path, the SVD: the matrix, both factors, LAPACK's copy and workspace
-# (about 3 matrices at peak on the eigenvalue paths).
+# would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS above the
+# interpreter, measured at n = 3,000 on one thread with double-Gaussian
+# kernels, is 3.1 matrices on either route; 7 leaves room for kernels that
+# hold more temporaries.
 NUMERIC_MATRICES = 7
 NUMERIC_MEMORY_CAP = 2 * 2**30
 
@@ -88,10 +89,6 @@ class SchmidtSpectrum:
     oam_parity: np.ndarray | None = field(default=None, repr=False)
     closed_form_k: float | None = None
 
-    def recompute_k(self) -> float:
-        """1 / sum(weights^2) from the stored weights only."""
-        return 1.0 / float(np.sum(self.weights**2))
-
     def to_summary_dict(self) -> dict:
         out = {
             "method": self.method.value,
@@ -114,9 +111,12 @@ class SchmidtSpectrum:
                       [[("%d", range(len(self.weights)))]], [self.weights])
 
 
-def _entropy_bits(weights: np.ndarray) -> float:
+def _schmidt_measures(weights: np.ndarray) -> tuple[float, float]:
+    """(K, entropy in bits) of normalized weights: K = 1 / sum(w^2) and
+    S = -sum(w log2 w), where zero weights add nothing to S."""
+    k = 1.0 / float(np.sum(weights**2))
     w = weights[weights > 0.0]
-    return float(-np.sum(w * np.log2(w)))
+    return k, float(-np.sum(w * np.log2(w)))
 
 
 def double_gaussian_k(a: float, b: float) -> float:
@@ -211,13 +211,8 @@ def _parity_eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 
 def schmidt_numeric(
-    kernel,
-    lo: float,
-    hi: float,
-    n: int,
-    feature_width: float | None = None,
-    return_modes: bool = False,
-):
+    kernel, lo: float, hi: float, n: int, feature_width: float | None = None
+) -> SchmidtSpectrum:
     """Quadrature oracle: Schmidt spectrum of a two-argument kernel on [lo, hi]^2.
 
     Midpoint-rule quadrature weights are folded into the n x n matrix so
@@ -226,18 +221,14 @@ def schmidt_numeric(
     it. A matrix whose n x n working set would exceed NUMERIC_MEMORY_CAP
     bytes is refused (ConfigError) before anything is allocated.
 
-    The weights are the squared singular values, found by the cheapest
-    route the matrix allows:
+    The weights are the squared singular values, found by one of two routes:
     - symmetric and centrosymmetric (a kernel with K(x, y) = K(y, x) =
       K(-x, -y) on a window symmetric about 0, as the double Gaussian on
       [-4a, 4a]): eigvalsh on the even and odd parity blocks, each of
       half the size;
-    - symmetric only: dense eigvalsh;
-    - otherwise, or with return_modes=True: dense SVD.
-
-    Returns the SchmidtSpectrum, or (spectrum, left_modes, right_modes)
-    with return_modes=True (mode columns include the 1/sqrt(h) quadrature
-    factor so they are orthonormal in L2).
+    - any other matrix: the singular values of a dense SVD.
+    Both structure tests allow an absolute deviation of
+    1e-13 max(1, max|mat|) and no relative one.
     """
     if hi <= lo:
         raise ConfigError("need hi > lo")
@@ -258,26 +249,23 @@ def schmidt_numeric(
     x = lo + (np.arange(n) + 0.5) * h
     mat = np.asarray(kernel(x[:, None], x[None, :]), dtype=float) * h
     atol = 1e-13 * max(1.0, np.abs(mat).max())
-    symmetric = np.allclose(mat, mat.T, atol=atol)
-    if return_modes or not symmetric:
-        u, s, vt = np.linalg.svd(mat)
-    elif np.allclose(mat, mat[::-1, ::-1], atol=atol):
+    if np.allclose(mat, mat.T, rtol=0.0, atol=atol) and np.allclose(
+        mat, mat[::-1, ::-1], rtol=0.0, atol=atol
+    ):
         s = np.abs(_parity_eigvalsh(mat))
     else:
-        s = np.abs(np.linalg.eigvalsh(mat))
+        s = np.linalg.svd(mat, compute_uv=False)
     weights = s * s
     weights = np.sort(weights)[::-1]
     weights /= weights.sum()
-    spectrum = SchmidtSpectrum(
+    k, entropy = _schmidt_measures(weights)
+    return SchmidtSpectrum(
         method=SchmidtMethod.NUMERIC_SVD,
         weights=weights,
-        schmidt_number=1.0 / float(np.sum(weights**2)),
-        entropy_bits=_entropy_bits(weights),
+        schmidt_number=k,
+        entropy_bits=entropy,
         residual=0.0,
     )
-    if return_modes:
-        return spectrum, u / math.sqrt(h), vt / math.sqrt(h)
-    return spectrum
 
 
 def oam_closed_form_k(theta0_w_over_lambda: float) -> float:
@@ -298,9 +286,6 @@ def oam_spectrum(
     whose eigenvalues are its DFT; on a pi ring the same kernel gives half
     of it. closed_form_k carries the published closed form
     2 sqrt(2 pi) theta0 w / lambda_p for comparison, which equals 2/pi of K.
-    The stored (l, parity) labels have no orthonormal modes behind them on
-    (-pi/2, pi/2]: oam_mode restricted there is not an orthonormal set
-    (see oam_mode_gram).
     """
     dac = dist.coincidence_width
     if dac >= 0.1:
@@ -328,46 +313,18 @@ def oam_spectrum(
     # closed form expressed through the coincidence width:
     # theta0 w / lambda_p = 1 / (pi * dac)
     closed = oam_closed_form_k(1.0 / (math.pi * dac))
+    k, entropy = _schmidt_measures(weights)
     return SchmidtSpectrum(
         method=SchmidtMethod.OAM,
         weights=weights,
-        schmidt_number=1.0 / float(np.sum(weights**2)),
-        entropy_bits=_entropy_bits(weights),
+        schmidt_number=k,
+        entropy_bits=entropy,
         residual=residual,
         truncated=truncated,
         oam_l=ls,
         oam_parity=parity,
         closed_form_k=closed,
     )
-
-
-def oam_mode(l: int, parity: str, alpha):
-    """OAM Schmidt mode sqrt(2/pi) cos(l alpha) or sin(l alpha), |alpha| <= pi/2."""
-    if l < 0:
-        raise ConfigError("l must be >= 0")
-    if parity not in ("cos", "sin"):
-        raise ConfigError(f"parity must be 'cos' or 'sin', got {parity!r}")
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(np.abs(alpha) > math.pi / 2 + 1e-15):
-        raise ConfigError("alpha outside [-pi/2, pi/2]")
-    fn = np.cos if parity == "cos" else np.sin
-    return math.sqrt(2.0 / math.pi) * fn(l * alpha)
-
-
-def oam_mode_gram(l_max: int, n_quad: int = 4001) -> np.ndarray:
-    """Gram matrix of the cos/sin OAM modes on [-pi/2, pi/2].
-
-    The modes are exactly orthonormal only within same-parity-l subsets;
-    this reports the actual overlaps instead of asserting orthonormality.
-    Row/column order matches oam_spectrum's stored modes.
-    """
-    alpha = np.linspace(-math.pi / 2, math.pi / 2, n_quad)
-    modes = [oam_mode(0, "cos", alpha)]
-    for l in range(1, l_max + 1):
-        modes.append(oam_mode(l, "cos", alpha))
-        modes.append(oam_mode(l, "sin", alpha))
-    m = np.vstack(modes)
-    return np.trapezoid(m[:, None, :] * m[None, :, :], alpha, axis=-1)
 
 
 def _trapezoid_cosines(f: np.ndarray, x: np.ndarray, l_max: int) -> np.ndarray:

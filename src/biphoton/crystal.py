@@ -228,16 +228,8 @@ class DerivedScales:
     config: ExperimentConfig = field(repr=False)
 
     @property
-    def lambda_p(self) -> float:
-        return self.config.lambda_p
-
-    @property
     def L(self) -> float:
         return self.config.L
-
-    @property
-    def w(self) -> float:
-        return self.config.w
 
 
 def derive_scales(config: ExperimentConfig) -> DerivedScales:

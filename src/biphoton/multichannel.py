@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import _schmidt_measures
 from .configio import write_csv
 from .errors import ConfigError, InfeasibleLayoutError
 
@@ -207,10 +208,7 @@ def multichannel_entanglement(state: MultichannelState) -> tuple[float, float]:
 
     Equal to the closed forms K = 2N and S_r = 1 + log2(N).
     """
-    w = state.weights
-    k = 1.0 / float(np.sum(w**2))
-    s = float(-np.sum(w * np.log2(w)))
-    return k, s
+    return _schmidt_measures(state.weights)
 
 
 def export_layout_csv(layout: ChannelLayout, path: str | Path) -> None:

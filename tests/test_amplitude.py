@@ -49,6 +49,14 @@ class TestAngularPair:
         with pytest.raises(ConfigError):
             AngularPair(0.2, 3.5, 0.0, 0.0)
 
+    def test_nan_polar_angle_rejected(self, tmp_path, ref_scales):
+        with pytest.raises(ConfigError):
+            AngularPair(math.nan, THETA0, 0.0, 0.0)
+        theta = np.array([THETA0, math.nan])
+        model = AmplitudeModel(AmplitudeKind.FULL, ref_scales)
+        with pytest.raises(ConfigError):
+            export_grid_csv(tmp_path / "grid.csv", model, theta, np.zeros(3))
+
     def test_alpha_helpers(self):
         p = AngularPair(0.3, 0.3, 0.4, 0.1)
         assert p.alpha0 == pytest.approx(0.25)

@@ -162,6 +162,17 @@ class TestScan:
         # max |sinc^2 - exp(-0.359 x^2)| on |x| <= pi, frozen regression value
         assert max_gap == pytest.approx(0.054037, abs=5e-3)
 
+    def test_published_constants_sincfit_scan(self, tmp_path):
+        assert run(
+            "scan", "--quantity", "sincfit", "--range", "-3", "3", "--points", "61",
+            "--published-constants", "--out", str(tmp_path),
+        ) == 0
+        header, rows = read_csv(tmp_path / "scan_sincfit.csv")
+        assert header == ["x", "sinc_sq_minus_gauss"]
+        x = np.array([r[0] for r in rows])
+        y = np.array([r[1] for r in rows])
+        assert np.max(np.abs(y - (np.sinc(x / math.pi) ** 2 - np.exp(-0.395 * x * x)))) < 1e-11
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
