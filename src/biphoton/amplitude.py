@@ -29,6 +29,14 @@ SINC_GAUSS_PUBLISHED = 0.395
 
 CLAMP_TOL = 1e-12  # |cos alpha_p| may exceed 1 by rounding; clamp within this
 
+# np.exp rounds to 0.0 below about -745.13 (half the smallest subnormal),
+# and such arguments leave its vectorized path, at about ten times the cost
+# per entry; exp_inplace sets them through a mask. Arrays smaller than
+# EXP_MASK_MIN_SIZE skip the test: its reduction alone costs about as much
+# as exp on a thousand entries.
+EXP_UNDERFLOW = -746.0
+EXP_MASK_MIN_SIZE = 1024
+
 
 class GeometryMode(Enum):
     EXACT = "exact"
@@ -64,10 +72,8 @@ class AngularPair:
     alpha2: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("theta1", "theta2"):
-            th = np.asarray(getattr(self, name), dtype=float)
-            if not ((th >= 0.0) & (th <= math.pi)).all():  # also rejects nan
-                raise ConfigError(f"{name} must lie in [0, pi]")
+        _check_polar("theta1", self.theta1)
+        _check_polar("theta2", self.theta2)
 
     @property
     def alpha0(self):
@@ -86,6 +92,16 @@ class AngularPair:
             alpha1=np.asarray(self.alpha2) + math.pi,
             alpha2=np.asarray(self.alpha1) + math.pi,
         )
+
+
+def _check_polar(name: str, theta) -> None:
+    th = np.asarray(theta, dtype=float)
+    if th.size == 0:
+        return
+    lo, hi = (th.min(), th.max()) if th.ndim else (float(th),) * 2
+    # a nan makes the minimum and maximum nan, which fails both comparisons
+    if not (lo >= 0.0 and hi <= math.pi):
+        raise ConfigError(f"{name} must lie in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -206,6 +222,28 @@ def _sinc_argument(pair: AngularPair, scales: DerivedScales, walkoff: bool):
     return core / (2.0 * scales.dtheta_L)
 
 
+def exp_inplace(x):
+    """np.exp(x, out=x) bit for bit for a float array x, which it returns;
+    a scalar, which cannot be written, gets np.exp(x).
+
+    In an array of at least EXP_MASK_MIN_SIZE entries, those
+    <= EXP_UNDERFLOW, whose exp is 0.0, are set through a mask instead of
+    going through exp. When the minimum lies above the threshold this is
+    np.exp after one reduction.
+    """
+    if not isinstance(x, np.ndarray):
+        return np.exp(x)
+    if x.size >= EXP_MASK_MIN_SIZE and not x.min() > EXP_UNDERFLOW:  # or is nan
+        # exp(0) in their place; np.exp(..., where=) would not do, as it
+        # takes another loop, with other last bits, on some strided views
+        under = x <= EXP_UNDERFLOW
+        np.putmask(x, under, 0.0)
+        np.exp(x, out=x)
+        np.putmask(x, under, 0.0)
+        return x
+    return np.exp(x, out=x)
+
+
 def _pump_gaussian_exponent(pair: AngularPair, scales: DerivedScales):
     th1 = np.asarray(pair.theta1, dtype=float)
     th2 = np.asarray(pair.theta2, dtype=float)
@@ -239,9 +277,15 @@ def probability_density(model: AmplitudeModel, pair: AngularPair):
     """
     if model.kind is not AmplitudeKind.DOUBLE_GAUSSIAN:
         return amplitude(model, pair) ** 2
-    g = _pump_gaussian_exponent(pair, model.scales)
+    # exp(-2 g) exp(-c x^2), each factor computed in its own buffer
+    density = _pump_gaussian_exponent(pair, model.scales)
+    density *= -2.0
+    density = exp_inplace(density)
     x = _sinc_argument(pair, model.scales, walkoff=True)
-    return np.exp(-2.0 * g) * np.exp(-model.gauss_constant * x * x)
+    sinc_gauss = -model.gauss_constant * x
+    sinc_gauss *= x
+    density *= exp_inplace(sinc_gauss)
+    return density
 
 
 def sinc_gauss_fit(
@@ -333,8 +377,10 @@ def export_grid_csv(
     """Write the density over a (theta1, theta2, alpha1-alpha2) grid as CSV
     with columns theta1,theta2,alpha1,alpha2,value (radians, peak-normalized).
 
-    The density is evaluated one (theta1, theta2) pair at a time.
+    The density is evaluated one (theta1, theta2) pair at a time. theta is
+    checked before the file is opened, so a bad one leaves no file behind.
     """
+    _check_polar("theta", theta)
     a1 = alpha0 + 0.5 * dalpha
     a2 = alpha0 - 0.5 * dalpha
     rows = (probability_density(model, AngularPair(t1, t2, a1, a2))

@@ -24,10 +24,11 @@ MODE_CAP = 10**6
 ANALYTIC_RESIDUAL = 1e-9
 OAM_RESIDUAL = 1e-12
 # schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
-# would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS above the
-# interpreter, measured at n = 3,000 on one thread with double-Gaussian
-# kernels, is 3.1 matrices on either route; 7 leaves room for kernels that
-# hold more temporaries.
+# would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS (ru_maxrss) above
+# the interpreter, measured at n = 3,000 on one thread with double-Gaussian
+# kernels, is 2.1 matrices on either route (the CLI's kernel on the parity
+# split, an off-centre one on the SVD); 7 leaves room for kernels that hold
+# more temporaries.
 NUMERIC_MATRICES = 7
 NUMERIC_MEMORY_CAP = 2 * 2**30
 
@@ -210,6 +211,21 @@ def _parity_eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)))
 
 
+def _symmetric_centrosymmetric(mat: np.ndarray, atol: float) -> bool:
+    """Whether |mat - mat.T| <= atol and |mat - J mat J| <= atol entrywise,
+    the route np.allclose(..., rtol=0, atol=atol) picks for a finite mat.
+
+    Both differences change sign under the map that made them (transposing,
+    or reversing both axes), so their largest entry is their largest
+    |entry|: one reduction each, in one n x n buffer.
+    """
+    diff = mat - mat.T
+    if diff.max() > atol:
+        return False
+    np.subtract(mat, mat[::-1, ::-1], out=diff)
+    return not diff.max() > atol
+
+
 def schmidt_numeric(
     kernel, lo: float, hi: float, n: int, feature_width: float | None = None
 ) -> SchmidtSpectrum:
@@ -228,7 +244,8 @@ def schmidt_numeric(
       half the size;
     - any other matrix: the singular values of a dense SVD.
     Both structure tests allow an absolute deviation of
-    1e-13 max(1, max|mat|) and no relative one.
+    1e-13 max(1, max|mat|) and no relative one. A kernel with a nan or
+    infinite value on the grid is refused (ConfigError).
     """
     if hi <= lo:
         raise ConfigError("need hi > lo")
@@ -248,10 +265,11 @@ def schmidt_numeric(
         )
     x = lo + (np.arange(n) + 0.5) * h
     mat = np.asarray(kernel(x[:, None], x[None, :]), dtype=float) * h
-    atol = 1e-13 * max(1.0, np.abs(mat).max())
-    if np.allclose(mat, mat.T, rtol=0.0, atol=atol) and np.allclose(
-        mat, mat[::-1, ::-1], rtol=0.0, atol=atol
-    ):
+    top, bottom = mat.max(), mat.min()
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ConfigError("kernel is not finite on the grid")
+    atol = 1e-13 * max(1.0, top, -bottom)
+    if _symmetric_centrosymmetric(mat, atol):
         s = np.abs(_parity_eigvalsh(mat))
     else:
         s = np.linalg.svd(mat, compute_uv=False)

@@ -20,6 +20,7 @@ from . import __version__
 from .amplitude import (
     SINC_GAUSS_FITTED,
     SINC_GAUSS_PUBLISHED,
+    exp_inplace,
     validity_report,
 )
 from .analysis import (
@@ -195,10 +196,16 @@ def cmd_schmidt(args) -> int:
         spectrum = schmidt_analytic(a, b)
     elif args.method == "numeric":
         # double-Gaussian azimuthal kernel; window covers the wide Gaussian
+        def factor(s, width):
+            # exp(-s^2 / (2 width^2)) in s; s^2 / -c is -(s^2) / c bit for bit
+            np.square(s, out=s)
+            s /= -(2 * width * width)
+            return exp_inplace(s)
+
         def kernel(x, y):
-            return np.exp(-((x + y) ** 2) / (2 * a * a)) * np.exp(
-                -((x - y) ** 2) / (2 * b * b)
-            )
+            k = factor(x + y, a)
+            k *= factor(x - y, b)
+            return k
 
         spectrum = schmidt_numeric(
             kernel, -4.0 * a, 4.0 * a, cfg.grid, feature_width=b

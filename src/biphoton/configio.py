@@ -171,7 +171,12 @@ def _axis_text(axis, start: int, stop: int) -> str:
     """Rows start:stop of an axis as CSV text, formatted with one `%` call:
     fields joined by ",", each row ending in CRLF, every "%" doubled so that
     the text can go into a %-template."""
-    columns = [np.asarray(col[start:stop]).tolist() for _, col in axis]
+    columns = [_column_list(col[start:stop]) for _, col in axis]
     row = ",".join(fmt for fmt, _ in axis) + "\r\n"
     fields = tuple(itertools.chain.from_iterable(zip(*columns, strict=True)))
     return ((row * len(columns[0])) % fields).replace("%", "%%")
+
+
+def _column_list(col) -> list:
+    # np.asarray would convert a range element by element
+    return list(col) if isinstance(col, range) else np.asarray(col).tolist()

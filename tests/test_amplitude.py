@@ -24,7 +24,13 @@ from biphoton import (
     transverse_sum_diff,
     validity_report,
 )
-from biphoton.amplitude import export_grid_csv
+from biphoton.amplitude import (
+    EXP_MASK_MIN_SIZE,
+    _pump_gaussian_exponent,
+    _sinc_argument,
+    exp_inplace,
+    export_grid_csv,
+)
 
 LAMBDA_P = 0.4047
 THETA0 = 0.2800911176503974
@@ -56,6 +62,14 @@ class TestAngularPair:
         model = AmplitudeModel(AmplitudeKind.FULL, ref_scales)
         with pytest.raises(ConfigError):
             export_grid_csv(tmp_path / "grid.csv", model, theta, np.zeros(3))
+
+    def test_polar_arrays_checked_whole(self):
+        AngularPair(np.array([]), np.empty((0, 3)), 0.0, 0.0)  # nothing to reject
+        AngularPair(np.array([0.0, math.pi]), THETA0, 0.0, 0.0)  # both ends allowed
+        for bad in ([THETA0, math.nan], [math.nan, math.nan], [THETA0, -1e-300],
+                    [math.inf, THETA0]):
+            with pytest.raises(ConfigError, match="theta2"):
+                AngularPair(THETA0, np.array(bad).reshape(2, 1), 0.0, 0.0)
 
     def test_alpha_helpers(self):
         p = AngularPair(0.3, 0.3, 0.4, 0.1)
@@ -316,7 +330,85 @@ class TestSincGaussFit:
             sinc_gauss_fit(grid_size=32)
 
 
+def _assert_bits_equal(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestExpInplace:
+    SPECIAL = [-745.13, -745.1332191019411, -745.1332191019412, -746.0, -746.1,
+               -np.inf, np.nan, -0.0, 0.0, 709.0, -708.5, -1e300]
+
+    @pytest.mark.parametrize("size", [EXP_MASK_MIN_SIZE - 1, 5 * EXP_MASK_MIN_SIZE])
+    def test_bit_for_bit_np_exp_in_place(self, size):
+        # arguments spanning [-800, 5] plus the special values, in arrays on
+        # both sides of the size at which the underflow mask starts
+        rng = np.random.default_rng(size)
+        x = np.concatenate((np.linspace(-800.0, 5.0, size - len(self.SPECIAL)),
+                            self.SPECIAL))
+        rng.shuffle(x)
+        for arg in (x, np.full(size, -800.0), x[x > -700]):
+            buf = arg.copy()
+            assert exp_inplace(buf) is buf
+            _assert_bits_equal(buf, np.exp(arg))
+        # np.exp takes another loop, with other last bits, on strided
+        # arrays; views are compared with np.exp(view, out=view)
+        for view in (lambda a: a.reshape(-1, 1)[::-1], lambda a: a[::3]):
+            buf, expected = view(x.copy()), view(x.copy())
+            np.exp(expected, out=expected)
+            assert exp_inplace(buf) is buf
+            _assert_bits_equal(buf, expected)
+
+    def test_zero_dimensional_empty_and_scalar(self):
+        for v in self.SPECIAL:
+            buf = np.array(v)
+            assert exp_inplace(buf) is buf
+            _assert_bits_equal(buf, np.exp(np.array(v)))
+        empty = np.empty((0, 4))
+        assert exp_inplace(empty) is empty
+        assert exp_inplace(np.float64(-800.0)) == 0.0
+        assert exp_inplace(1.0) == np.exp(1.0)
+
+
 class TestProbabilityDensity:
+    @staticmethod
+    def _polar_plane(s, n, width_factor):
+        # criterion 10's (tau, d) plane, its d axis widened by width_factor
+        t0 = s.theta0
+        sig_tau = 2.0 * s.dtheta_L / (math.sqrt(0.359) * t0)
+        shift = (s.n_o / s.n_p0) * s.zeta * (0.01 * 2.0 + t0 * 8.0 * s.b) / t0
+        tau = np.linspace(-12 * sig_tau - 2 * shift, 12 * sig_tau + 2 * shift, n)
+        d = np.linspace(-10 * s.dtheta_p, 10 * s.dtheta_p, n) * width_factor
+        tt, dd = np.meshgrid(tau, d, indexing="ij")
+        return t0 + 0.5 * (tt + dd), t0 + 0.5 * (tt - dd)
+
+    @pytest.mark.parametrize("width_factor", [1.0, 30.0])
+    def test_double_gaussian_bits_of_the_plain_formula(self, ref_scales, width_factor):
+        # exp(-2 g) * exp(-c x^2) with plain np.exp, on criterion 10's plane
+        # and on one wide enough that exp(-2 g) underflows on most of it
+        s = ref_scales
+        th1, th2 = self._polar_plane(s, 401, width_factor)
+        for kind_c in (0.359, 0.395):
+            model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, s, gauss_constant=kind_c)
+            for dal, al0 in ((0.0, 0.3), (-2.0 * s.b, -1.0), (2.5 * s.b, 1.2)):
+                pair = AngularPair(th1, th2, al0 + 0.5 * dal, al0 - 0.5 * dal)
+                g = _pump_gaussian_exponent(pair, s)
+                x = _sinc_argument(pair, s, walkoff=True)
+                expected = np.exp(-2.0 * g) * np.exp(-kind_c * x * x)
+                _assert_bits_equal(probability_density(model, pair), expected)
+        if width_factor > 1.0:
+            assert np.mean(-2.0 * g <= -746.0) > 0.5
+
+    def test_scalar_pair_gives_a_scalar(self, ref_scales):
+        model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)
+        p = AngularPair(THETA0 + 1e-4, THETA0, 0.3, 0.3 - 2e-4)
+        got = probability_density(model, p)
+        assert isinstance(got, np.float64)
+        g = _pump_gaussian_exponent(p, ref_scales)
+        x = _sinc_argument(p, ref_scales, walkoff=True)
+        assert got == np.exp(-2.0 * g) * np.exp(-0.359 * x * x)
+
     def test_peak_value(self, ref_scales):
         model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)
         p = AngularPair(THETA0, THETA0, 0.2, 0.2)
@@ -414,6 +506,19 @@ class TestGridExport:
         expected = csv_reference(["theta1", "theta2", "alpha1", "alpha2", "value"], rows())
         assert path.read_bytes() == expected
         assert expected.count(b"\r\n") == 1 + 9 * 9 * 31
+
+    def test_bad_theta_leaves_no_file(self, tmp_path, ref_scales):
+        # theta is checked before the file is opened: no truncated grid is
+        # left behind, and a file already at the path keeps its bytes
+        model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"theta1,theta2\r\nkept\r\n")
+        for bad in (np.array([THETA0, math.nan]), np.array([THETA0, 4.0])):
+            for path in (fresh, existing):
+                with pytest.raises(ConfigError, match="theta"):
+                    export_grid_csv(path, model, bad, np.zeros(3))
+        assert not fresh.exists()
+        assert existing.read_bytes() == b"theta1,theta2\r\nkept\r\n"
 
     def test_header_and_determinism(self, tmp_path, ref_scales):
         model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)

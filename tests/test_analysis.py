@@ -1,6 +1,7 @@
 """Width ratio, Schmidt spectra (analytic, numeric SVD, OAM), Fourier checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,51 @@ class TestSchmidtNumeric:
             w /= w.sum()
             assert np.max(np.abs(sp.weights - w)) < 1e-13
             assert sp.schmidt_number == pytest.approx(1.0 / np.sum(w**2), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kernel_refused(self, bad):
+        # one bad point is enough; no numpy warning on the way
+        def kernel(x, y):
+            k = _dg_kernel(1.0, 0.2)(x, y)
+            k[5, 7] = bad
+            return k
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="not finite"):
+                schmidt_numeric(kernel, -4.0, 4.0, 64)
+
+    @pytest.mark.parametrize("shift", [0.9, 1.1])
+    @pytest.mark.parametrize("moved", [[(3, 20)], [(3, 20), (20, 3)], [(0, 0)],
+                                       [(3, 20), (60, 43)]])
+    def test_structure_route_is_allclose_route(self, monkeypatch, shift, moved):
+        # a 64 x 64 double-Gaussian matrix with entries moved by shift * atol:
+        # one off-diagonal entry (breaks both symmetries), a transposed pair
+        # or a corner (only the centrosymmetry), a pair mirrored through the
+        # centre (only the symmetry); the parity split is taken exactly when
+        # np.allclose(rtol=0) allows it
+        n, h = 64, 8.0 / 64
+        seen = {}
+
+        def kernel(x, y):
+            k = _dg_kernel(1.0, 0.2)(x, y)
+            atol = 1e-13 * max(1.0, np.abs(k * h).max())
+            for i, j in moved:
+                k[i, j] += shift * atol / h
+            seen["mat"] = k * h
+            return k
+
+        split = []
+        real_split = analysis._parity_eigvalsh
+        monkeypatch.setattr(analysis, "_parity_eigvalsh",
+                            lambda mat: split.append(1) or real_split(mat))
+        schmidt_numeric(kernel, -4.0, 4.0, n)
+        mat = seen["mat"]
+        atol = 1e-13 * max(1.0, np.abs(mat).max())
+        expected = np.allclose(mat, mat.T, rtol=0.0, atol=atol) and np.allclose(
+            mat, mat[::-1, ::-1], rtol=0.0, atol=atol
+        )
+        assert bool(split) == expected == (shift < 1.0)
 
     def test_grid_over_the_memory_cap_is_refused_before_allocation(self):
         n = math.isqrt(analysis.NUMERIC_MEMORY_CAP // (8 * analysis.NUMERIC_MATRICES)) + 1

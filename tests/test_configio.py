@@ -66,6 +66,19 @@ class TestWriteCsv:
         assert got == expected
         assert got.count(b"\r\n") == n + 1
 
+    def test_range_columns(self, tmp_path, csv_reference):
+        # ranges that do not start at 0, step by more than 1 and run across
+        # a block boundary, in the last axis and in an outer one
+        _, w = float_body(2 * N + 3)
+        index = range(-5, 4 * N + 1, 2)
+        expected = csv_reference(["index", "weight"], zip(index, w.tolist()))
+        assert written_bytes(tmp_path, ("index", "weight"), [[("%d", index)]], [w]) == expected
+        outer, inner = range(7, 10), range(N - 2, N + 3)
+        values = np.arange(15.0).reshape(3, 5) / 3.0
+        axes = [[("%d", outer)], [("%d", inner)]]
+        expected = csv_reference(["o", "i", "v"], product_rows(axes, values))
+        assert written_bytes(tmp_path, ("o", "i", "v"), axes, values) == expected
+
     def test_body_split_across_blocks(self, tmp_path, csv_reference):
         # an inner axis three blocks long under each of three prefixes: the
         # blocks' text is reused, and an array's rows, a list and a generator
