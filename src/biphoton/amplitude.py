@@ -205,21 +205,25 @@ def phase_mismatch(pair: AngularPair, scales: DerivedScales, include_walkoff: bo
     (pi / n_o lambda_p) theta0 (theta1 + theta2 - 2 theta0); with walk-off
     the linearized anisotropy contribution is added.
     """
-    return 2.0 / scales.L * _sinc_argument(pair, scales, include_walkoff)
+    return 2.0 / scales.L * _pump_and_sinc_terms(pair, scales, include_walkoff)[1]
 
 
-def _sinc_argument(pair: AngularPair, scales: DerivedScales, walkoff: bool):
-    # L * Delta / 2 expressed through dtheta_L; phase_mismatch is 2/L times this
+def _pump_and_sinc_terms(pair: AngularPair, scales: DerivedScales, walkoff: bool):
+    """(g, x): the pump Gaussian is exp(-g), the sinc argument x is
+    L * Delta / 2 expressed through dtheta_L (phase_mismatch is 2/L times x)."""
     th1 = np.asarray(pair.theta1, dtype=float)
     th2 = np.asarray(pair.theta2, dtype=float)
+    dth = th1 - th2
+    dal = pair.alpha_diff
     t0 = scales.theta0
+    g = (dth**2 + t0 * t0 * dal**2) / (2.0 * scales.dtheta_p**2)
     core = t0 * (th1 + th2 - 2.0 * t0)
     if walkoff:
         al0 = pair.alpha0
         core = core - (scales.n_o / scales.n_p0) * scales.zeta * (
-            np.cos(al0) * (th1 - th2) - t0 * np.sin(al0) * pair.alpha_diff
+            np.cos(al0) * dth - t0 * np.sin(al0) * dal
         )
-    return core / (2.0 * scales.dtheta_L)
+    return g, core / (2.0 * scales.dtheta_L)
 
 
 def exp_inplace(x):
@@ -244,15 +248,6 @@ def exp_inplace(x):
     return np.exp(x, out=x)
 
 
-def _pump_gaussian_exponent(pair: AngularPair, scales: DerivedScales):
-    th1 = np.asarray(pair.theta1, dtype=float)
-    th2 = np.asarray(pair.theta2, dtype=float)
-    t0 = scales.theta0
-    return ((th1 - th2) ** 2 + t0 * t0 * pair.alpha_diff**2) / (
-        2.0 * scales.dtheta_p**2
-    )
-
-
 def amplitude(model: AmplitudeModel, pair: AngularPair):
     """Real, peak-normalized biphoton amplitude.
 
@@ -263,8 +258,7 @@ def amplitude(model: AmplitudeModel, pair: AngularPair):
     if model.kind is AmplitudeKind.DOUBLE_GAUSSIAN:
         return np.sqrt(probability_density(model, pair))
     walkoff = model.kind is AmplitudeKind.FULL
-    g = _pump_gaussian_exponent(pair, model.scales)
-    x = _sinc_argument(pair, model.scales, walkoff)
+    g, x = _pump_and_sinc_terms(pair, model.scales, walkoff)
     return np.exp(-g) * np.sinc(x / math.pi)
 
 
@@ -278,10 +272,9 @@ def probability_density(model: AmplitudeModel, pair: AngularPair):
     if model.kind is not AmplitudeKind.DOUBLE_GAUSSIAN:
         return amplitude(model, pair) ** 2
     # exp(-2 g) exp(-c x^2), each factor computed in its own buffer
-    density = _pump_gaussian_exponent(pair, model.scales)
+    density, x = _pump_and_sinc_terms(pair, model.scales, walkoff=True)
     density *= -2.0
     density = exp_inplace(density)
-    x = _sinc_argument(pair, model.scales, walkoff=True)
     sinc_gauss = -model.gauss_constant * x
     sinc_gauss *= x
     density *= exp_inplace(sinc_gauss)

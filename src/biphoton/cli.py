@@ -62,6 +62,13 @@ EXIT_RESOLUTION = 4
 EXIT_GEOMETRY = 5
 EXIT_OUTPUT = 6
 
+# scan and density refuse to write more rows than this before they allocate
+# an axis or open a file. A row of these files is at most 58 bytes (three
+# %.12g fields of at most 18 characters); measured rows average 45-48 bytes
+# in density maps at 2-8 um waists and 31-33 bytes in scans, so no file
+# exceeds 2 GiB.
+MAX_CSV_ROWS = 2**25
+
 
 def _out_dir(args) -> Path:
     """The --out directory (default: the working directory), created."""
@@ -93,6 +100,13 @@ def _load_config(args) -> RunConfig:
 
 def _maybe(fn, value):
     return None if value is None else fn(value)
+
+
+def _check_rows(rows: int, what: str) -> None:
+    if rows > MAX_CSV_ROWS:
+        raise ConfigError(
+            f"{what} makes {rows} rows, above the limit of {MAX_CSV_ROWS} rows"
+        )
 
 
 def cmd_params(args) -> int:
@@ -140,6 +154,7 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"--range needs finite LO < HI, got {lo!r} {hi!r}")
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
+    _check_rows(args.points, f"--points {args.points}")
     cfg = _load_config(args)
     exp = cfg.experiment()
     x = np.linspace(lo, hi, args.points)
@@ -163,21 +178,33 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _points_across(width: float, n: int) -> float:
+    """Points an n-point axis over [-pi/2, pi/2], step pi/(n - 1), puts
+    across `width`."""
+    return width * (n - 1) / math.pi
+
+
 def cmd_density(args) -> int:
     cfg = _load_config(args)
+    n = cfg.grid
+    _check_rows(n * n, f"a grid of {n} points")
     scales = derive_scales(cfg.experiment())
     dist = azimuthal_widths(scales)
-    n = cfg.grid
-    alpha = np.linspace(-math.pi / 2, math.pi / 2, n)
-    step = alpha[1] - alpha[0]
-    points_across = dist.coincidence_width / step
+    dac = dist.coincidence_width
+    points_across = _points_across(dac, n)
     if points_across < 4.0:
-        required = int(math.ceil(4.0 * math.pi / dist.coincidence_width))
+        required = math.ceil(4.0 * math.pi / dac) + 1
+        while _points_across(dac, required) < 4.0:  # rounding left it one short
+            required += 1
+        over = ""
+        if required * required > MAX_CSV_ROWS:
+            over = f"; its {required * required} rows are above the limit of {MAX_CSV_ROWS}"
         raise ResolutionError(
             f"grid of {n} points puts {points_across:.2f} points across the "
-            f"coincidence width; need at least {required}",
+            f"coincidence width; need at least {required}{over}",
             required_points=required,
         )
+    alpha = np.linspace(-math.pi / 2, math.pi / 2, n)
     path = _out_dir(args) / "density.csv"
     # one row of the map at a time: the n x n density is never held
     rows = (azimuthal_density(dist, a1, alpha) for a1 in alpha)
@@ -262,15 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (defaults to built-in reference)")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--grid", type=int, help="grid resolution")
     common.add_argument("--lambda-p", dest="lambda_p", help="pump wavelength (e.g. 0.4047um)")
     common.add_argument("--waist", help="pump waist (e.g. 1464um)")
     common.add_argument("--length", help="crystal length (e.g. 0.5cm)")
     common.add_argument("--phi0", help="optic-axis angle (rad)")
-    common.add_argument(
-        "--published-constants", action="store_true",
-        help="use the published 0.395 Gaussian constant instead of the half-maximum 0.359",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("params", parents=[common], help="derived scales and validity")
@@ -280,13 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", required=True, choices=["np_minus_no", "walkoff", "sincfit"])
     p.add_argument("--range", nargs=2, type=float, required=True, metavar=("LO", "HI"))
     p.add_argument("--points", type=int, default=400)
+    p.add_argument(
+        "--published-constants", action="store_true",
+        help="sincfit: use the published 0.395 Gaussian constant instead of the "
+        "half-maximum 0.359",
+    )
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("density", parents=[common], help="azimuthal density map")
+    p.add_argument("--grid", type=int, help="grid resolution")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("schmidt", parents=[common], help="Schmidt spectra")
     p.add_argument("--method", required=True, choices=["analytic", "numeric", "oam"])
+    p.add_argument("--grid", type=int, help="grid resolution (--method numeric)")
     p.set_defaults(func=cmd_schmidt)
 
     p = sub.add_parser("multichannel", parents=[common], help="channelization report")

@@ -1,51 +1,46 @@
 """Multichannel Schmidt-type channelization of the SPDC ring.
 
-N diametric fiber-pair planes collect photon pairs off the ring; each pair
-feeds a Hong-Ou-Mandel beam splitter, giving 2N equal-weight channels.
-Channels are ideal (unit collection, perfect HOM visibility); loss fields
-are reserved in the report schema but not modeled.
+N diametric fiber-pair planes, equally spaced on the ring, collect photon
+pairs; each pair feeds a Hong-Ou-Mandel beam splitter, giving 2N
+equal-weight channels. Channels are ideal: losses and HOM visibility are
+not modeled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import _schmidt_measures
-from .configio import write_csv
 from .errors import ConfigError, InfeasibleLayoutError
 
 DEFAULT_SAFETY_FACTOR = 3.0
-# The multichannel command refuses more planes before it builds a layout: a
-# plane costs about 84 bytes of layout and report (113 MB peak RSS at 10**6).
+# The multichannel command refuses more planes before it builds a layout. A
+# layout is a few numbers whatever N; the cap bounds the 2N channel weights
+# of the state and its JSON. A feasible layout of 10**6 planes writes 22 MB
+# of JSON at a peak RSS (ru_maxrss) of 296 MB, 267 MB above the interpreter.
 MAX_PLANES = 10**6
 
 
 @dataclass(frozen=True)
 class ChannelLayout:
-    """Geometry of the fiber-pair planes on the ring.
+    """N fiber-pair planes equally spaced on the ring.
 
-    plane_azimuths must be strictly increasing in (-pi/2, pi/2]; gaps are
-    measured cyclically with period pi (a plane covers a full diameter).
+    A plane covers a full diameter, so the N planes split the period pi
+    into N equal gaps.
     """
 
-    plane_azimuths: tuple[float, ...]
+    n_planes: int
     fiber_radius: float
     ring_thickness: float
     coincidence_width: float
     safety_factor: float = DEFAULT_SAFETY_FACTOR
 
     def __post_init__(self):
-        if len(self.plane_azimuths) < 1:
+        if self.n_planes < 1:
             raise ConfigError("need at least one plane")
-        az = self.plane_azimuths
-        if any(a2 <= a1 for a1, a2 in zip(az, az[1:])):
-            raise ConfigError("plane azimuths must be strictly increasing")
-        if az[0] <= -math.pi / 2 or az[-1] > math.pi / 2:
-            raise ConfigError("plane azimuths must lie in (-pi/2, pi/2]")
         for name in ("fiber_radius", "ring_thickness", "coincidence_width"):
             if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
                 raise ConfigError(f"{name} must be > 0 and finite")
@@ -53,16 +48,9 @@ class ChannelLayout:
             raise ConfigError("safety factor must be >= 1 and finite")
 
     @property
-    def n_planes(self) -> int:
-        return len(self.plane_azimuths)
-
-    def gaps(self) -> list[float]:
-        """Angular gaps between cyclically adjacent planes (period pi)."""
-        az = self.plane_azimuths
-        if len(az) == 1:
-            return [math.pi]
-        inner = [a2 - a1 for a1, a2 in zip(az, az[1:])]
-        return inner + [az[0] + math.pi - az[-1]]
+    def gap(self) -> float:
+        """Angular gap between adjacent planes, pi/N."""
+        return math.pi / self.n_planes
 
 
 def equally_spaced_layout(
@@ -72,14 +60,9 @@ def equally_spaced_layout(
     coincidence_width: float,
     safety_factor: float = DEFAULT_SAFETY_FACTOR,
 ) -> ChannelLayout:
-    """N planes uniformly spread over (-pi/2, pi/2]."""
-    # pi * n / n can round one ulp above pi; pin the last plane to the edge
-    az = tuple(
-        math.pi / 2 if k == n - 1 else -math.pi / 2 + math.pi * (k + 1) / n
-        for k in range(n)
-    )
+    """N planes uniformly spread over the ring."""
     return ChannelLayout(
-        plane_azimuths=az,
+        n_planes=n,
         fiber_radius=fiber_radius,
         ring_thickness=ring_thickness,
         coincidence_width=coincidence_width,
@@ -93,8 +76,6 @@ class LayoutReport:
 
     feasible: bool
     constraints: dict
-    min_gap: float
-    required_gap: float
     max_overlap: float
 
     @property
@@ -106,12 +87,7 @@ class LayoutReport:
         return {
             "feasible": self.feasible,
             "constraints": self.constraints,
-            "min_gap_rad": self.min_gap,
-            "required_gap_rad": self.required_gap,
             "max_adjacent_overlap": self.max_overlap,
-            # reserved: losses / HOM visibility are not modeled
-            "collection_efficiency": 1.0,
-            "hom_visibility": 1.0,
         }
 
 
@@ -121,22 +97,21 @@ def _required_gap(fiber_radius: float, coincidence_width: float, safety: float) 
     return safety * max(2.0 * fiber_radius, coincidence_width)
 
 
-def channel_overlap(layout: ChannelLayout, gap: float) -> float:
-    """Overlap of the coincidence ridges of two planes separated by `gap`,
-    normalized cross-correlation of the azimuthal Gaussian density."""
-    return math.exp(-(gap**2) / (2.0 * layout.coincidence_width**2))
+def channel_overlap(layout: ChannelLayout) -> float:
+    """Overlap of the coincidence ridges of two adjacent planes, normalized
+    cross-correlation of the azimuthal Gaussian density across the gap."""
+    return math.exp(-(layout.gap**2) / (2.0 * layout.coincidence_width**2))
 
 
 def validate_layout(layout: ChannelLayout) -> LayoutReport:
-    """Check fiber size against ring thickness and plane gaps against the
+    """Check fiber size against ring thickness and the plane gap against the
     safety-scaled fiber diameter and coincidence width."""
-    gaps = layout.gaps()
-    min_gap = min(gaps)
+    gap = layout.gap
     required = _required_gap(
         layout.fiber_radius, layout.coincidence_width, layout.safety_factor
     )
     fiber_ok = layout.fiber_radius > layout.ring_thickness
-    gap_ok = min_gap > required
+    gap_ok = gap > required
     constraints = {
         "fiber_covers_ring": {
             "pass": fiber_ok,
@@ -146,17 +121,15 @@ def validate_layout(layout: ChannelLayout) -> LayoutReport:
         },
         "plane_gaps": {
             "pass": gap_ok,
-            "min_gap_rad": min_gap,
+            "min_gap_rad": gap,
             "required_gap_rad": required,
-            "margin_rad": min_gap - required,
+            "margin_rad": gap - required,
         },
     }
     return LayoutReport(
         feasible=fiber_ok and gap_ok,
         constraints=constraints,
-        min_gap=min_gap,
-        required_gap=required,
-        max_overlap=channel_overlap(layout, min_gap),
+        max_overlap=channel_overlap(layout),
     )
 
 
@@ -209,13 +182,3 @@ def multichannel_entanglement(state: MultichannelState) -> tuple[float, float]:
     Equal to the closed forms K = 2N and S_r = 1 + log2(N).
     """
     return _schmidt_measures(state.weights)
-
-
-def export_layout_csv(layout: ChannelLayout, path: str | Path) -> None:
-    """CSV of plane geometry and margins for ring diagrams."""
-    report = validate_layout(layout)
-    gaps = np.array(layout.gaps())
-    margins = gaps - report.required_gap
-    write_csv(path, ("plane", "alpha_rad", "gap_to_next_rad", "gap_margin_rad"),
-              [[("%d", range(gaps.size)), ("%.12g", layout.plane_azimuths),
-                ("%.12g", gaps)]], [margins])

@@ -26,8 +26,6 @@ from biphoton import (
 )
 from biphoton.amplitude import (
     EXP_MASK_MIN_SIZE,
-    _pump_gaussian_exponent,
-    _sinc_argument,
     exp_inplace,
     export_grid_csv,
 )
@@ -46,6 +44,20 @@ def _random_pairs(scales, rng, n, dev=0.01, alpha0_span=1.4):
         alpha1=a0 + 0.5 * da,
         alpha2=a0 - 0.5 * da,
     )
+
+
+def _plain_g_and_x(pair, s):
+    """Pump exponent g and walk-off-inclusive sinc argument x, each written
+    out on its own as the amplitude formulas state them."""
+    th1 = np.asarray(pair.theta1, dtype=float)
+    th2 = np.asarray(pair.theta2, dtype=float)
+    t0 = s.theta0
+    g = ((th1 - th2) ** 2 + t0 * t0 * pair.alpha_diff**2) / (2.0 * s.dtheta_p**2)
+    al0 = pair.alpha0
+    core = t0 * (th1 + th2 - 2.0 * t0) - (s.n_o / s.n_p0) * s.zeta * (
+        np.cos(al0) * (th1 - th2) - t0 * np.sin(al0) * pair.alpha_diff
+    )
+    return g, core / (2.0 * s.dtheta_L)
 
 
 class TestAngularPair:
@@ -393,8 +405,7 @@ class TestProbabilityDensity:
             model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, s, gauss_constant=kind_c)
             for dal, al0 in ((0.0, 0.3), (-2.0 * s.b, -1.0), (2.5 * s.b, 1.2)):
                 pair = AngularPair(th1, th2, al0 + 0.5 * dal, al0 - 0.5 * dal)
-                g = _pump_gaussian_exponent(pair, s)
-                x = _sinc_argument(pair, s, walkoff=True)
+                g, x = _plain_g_and_x(pair, s)
                 expected = np.exp(-2.0 * g) * np.exp(-kind_c * x * x)
                 _assert_bits_equal(probability_density(model, pair), expected)
         if width_factor > 1.0:
@@ -405,8 +416,7 @@ class TestProbabilityDensity:
         p = AngularPair(THETA0 + 1e-4, THETA0, 0.3, 0.3 - 2e-4)
         got = probability_density(model, p)
         assert isinstance(got, np.float64)
-        g = _pump_gaussian_exponent(p, ref_scales)
-        x = _sinc_argument(p, ref_scales, walkoff=True)
+        g, x = _plain_g_and_x(p, ref_scales)
         assert got == np.exp(-2.0 * g) * np.exp(-0.359 * x * x)
 
     def test_peak_value(self, ref_scales):

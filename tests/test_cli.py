@@ -12,6 +12,7 @@ from biphoton.analysis import NUMERIC_MATRICES, azimuthal_density, azimuthal_wid
 from biphoton.cli import main
 from biphoton.configio import load_run_config
 from biphoton.crystal import derive_scales
+from biphoton.errors import ResolutionError
 from biphoton.multichannel import MAX_PLANES
 
 
@@ -123,6 +124,18 @@ class TestParams:
             run("params", *flags)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("params", "--grid", "300"),
+        ("multichannel", "-N", "4", "--published-constants"),
+        ("scan", "--quantity", "sincfit", "--range", "-1", "1", "--grid", "300"),
+        ("schmidt", "--method", "oam", "--published-constants"),
+    ])
+    def test_flags_a_command_never_reads_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestScan:
     def test_index_difference_crosses_window_edges(self, tmp_path):
@@ -203,6 +216,22 @@ class TestScan:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("over", [1, 10**12])
+    def test_points_over_the_row_limit_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                 over):
+        # refused before the axis is allocated or a file opened
+        def never(*args, **kwargs):
+            raise AssertionError("write_csv reached")
+
+        monkeypatch.setattr(cli, "write_csv", never)
+        out = tmp_path / "out"
+        assert run("scan", "--quantity", "sincfit", "--range", "0", "1",
+                   "--points", str(cli.MAX_CSV_ROWS + over), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"above the limit of {cli.MAX_CSV_ROWS} rows" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestDensity:
     def test_grid_and_ridge(self, tmp_path):
@@ -247,6 +276,32 @@ class TestDensity:
         assert run("density", "--grid", "64") == 4
         err = capsys.readouterr().err
         assert "resolution" in err
+
+    @pytest.mark.parametrize("waist", ["2um", "5um", "8um"])
+    def test_required_points_is_enough(self, tmp_path, capsys, waist):
+        with pytest.raises(ResolutionError) as exc:
+            cli.cmd_density(cli.build_parser().parse_args(
+                ["density", "--waist", waist, "--grid", "9"]))
+        required = exc.value.required_points
+        assert f"need at least {required}" in str(exc.value)
+        assert run("density", "--waist", waist, "--grid", str(required),
+                   "--out", str(tmp_path)) == 0
+        assert run("density", "--waist", waist, "--grid", str(required - 1)) == 4
+
+    @pytest.mark.parametrize("grid", [math.isqrt(cli.MAX_CSV_ROWS) + 1, 10**6])
+    def test_grid_over_the_row_limit_exit_code(self, tmp_path, capsys, monkeypatch,
+                                               grid):
+        def never(*args, **kwargs):
+            raise AssertionError("write_csv reached")
+
+        monkeypatch.setattr(cli, "write_csv", never)
+        out = tmp_path / "out"
+        assert run("density", "--waist", "2um", "--grid", str(grid),
+                   "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"makes {grid * grid} rows, above the limit" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSchmidt:
@@ -314,6 +369,8 @@ class TestMultichannelCommand:
         assert payload["K"] == pytest.approx(8.0, abs=1e-12)
         assert payload["entropy_bits"] == pytest.approx(3.0, abs=1e-12)
         assert payload["layout"]["feasible"]
+        assert set(payload["layout"]) == {"feasible", "constraints", "max_adjacent_overlap"}
+        assert payload["layout"]["constraints"]["plane_gaps"]["min_gap_rad"] == math.pi / 4
 
     def test_infeasible_exit_code(self, capsys):
         # more planes than the packing limit of the reference ring

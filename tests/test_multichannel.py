@@ -1,6 +1,5 @@
 """Channel layout feasibility, HOM state construction, K and entropy."""
 
-import csv
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ from biphoton import (
     multichannel_entanglement,
     validate_layout,
 )
-from biphoton.multichannel import channel_overlap, export_layout_csv
+from biphoton.multichannel import channel_overlap
 
 # generous geometry used where only state algebra is under test
 WIDE = dict(fiber_radius=0.01, ring_thickness=0.004, coincidence_width=0.002)
@@ -32,44 +31,36 @@ def _state(n):
 
 
 class TestChannelLayout:
-    def test_requires_increasing_azimuths(self):
-        with pytest.raises(ConfigError):
-            ChannelLayout((0.3, 0.1), **WIDE)
-
-    def test_requires_half_open_window(self):
-        with pytest.raises(ConfigError):
-            ChannelLayout((-math.pi / 2,), **WIDE)
-        ChannelLayout((math.pi / 2,), **WIDE)  # right edge included
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_requires_one_plane(self, n):
+        with pytest.raises(ConfigError, match="at least one plane"):
+            ChannelLayout(n, **WIDE)
 
     def test_single_plane_gap_is_pi(self):
-        layout = ChannelLayout((0.2,), **WIDE)
-        assert layout.gaps() == [math.pi]
+        assert ChannelLayout(1, **WIDE).gap == math.pi
 
     def test_cyclic_gaps_sum_to_pi(self):
-        layout = ChannelLayout((-1.2, -0.3, 0.4, 1.5), **WIDE)
-        assert sum(layout.gaps()) == pytest.approx(math.pi, abs=1e-15)
+        for n in (2, 3, 4, 7, 1714):
+            layout = equally_spaced_layout(n, **WIDE)
+            assert layout.n_planes * layout.gap == pytest.approx(math.pi, abs=1e-15)
 
     def test_equally_spaced_layout(self):
         layout = equally_spaced_layout(8, **WIDE)
-        gaps = layout.gaps()
-        assert len(layout.plane_azimuths) == 8
-        assert max(gaps) - min(gaps) < 1e-12
+        assert layout.n_planes == 8
+        assert layout.gap == math.pi / 8
 
 
 class TestValidateLayout:
     def test_wide_margins_feasible(self):
-        layout = ChannelLayout((-math.pi / 4, math.pi / 4), **WIDE)
+        layout = equally_spaced_layout(2, **WIDE)
         report = validate_layout(layout)
         assert report.feasible
         assert all(c["pass"] for c in report.constraints.values())
 
     def test_planes_closer_than_coincidence_width_infeasible(self):
-        layout = ChannelLayout(
-            (0.0, 0.001),
-            fiber_radius=0.01,
-            ring_thickness=0.004,
-            coincidence_width=0.002,
-        )
+        # 2000 planes leave gaps of pi/2000 = 1.57e-3, below the width 2e-3
+        layout = equally_spaced_layout(2000, **WIDE)
+        assert layout.gap < layout.coincidence_width
         report = validate_layout(layout)
         assert not report.feasible
         assert not report.constraints["plane_gaps"]["pass"]
@@ -77,8 +68,8 @@ class TestValidateLayout:
         assert report.failed == ["plane_gaps"]
 
     def test_fiber_smaller_than_ring_infeasible(self):
-        layout = ChannelLayout(
-            (-math.pi / 4, math.pi / 4),
+        layout = equally_spaced_layout(
+            2,
             fiber_radius=0.003,
             ring_thickness=0.004,
             coincidence_width=0.002,
@@ -89,9 +80,8 @@ class TestValidateLayout:
         assert report.failed == ["fiber_covers_ring"]
 
     def test_feasibility_monotone_in_widths(self):
-        azimuths = tuple(np.linspace(-1.4, 1.4, 9))
-        base = ChannelLayout(
-            azimuths, fiber_radius=0.02, ring_thickness=0.004, coincidence_width=0.01
+        base = equally_spaced_layout(
+            9, fiber_radius=0.02, ring_thickness=0.004, coincidence_width=0.01
         )
         assert validate_layout(base).feasible
         import dataclasses
@@ -101,12 +91,6 @@ class TestValidateLayout:
                 base, fiber_radius=fr, coincidence_width=cw
             )
             assert validate_layout(shrunk).feasible
-
-    def test_report_reserves_ideal_channel_fields(self):
-        report = validate_layout(equally_spaced_layout(4, **WIDE))
-        d = report.to_dict()
-        assert d["collection_efficiency"] == 1.0
-        assert d["hom_visibility"] == 1.0
 
 
 class TestMaxFeasiblePlanes:
@@ -134,7 +118,7 @@ class TestMaxFeasiblePlanes:
 
 class TestBuildState:
     def test_single_plane_hom_pair(self):
-        state = build_state(ChannelLayout((0.0,), **WIDE))
+        state = build_state(equally_spaced_layout(1, **WIDE))
         assert state.amplitudes == pytest.approx(
             [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)]
         )
@@ -157,12 +141,7 @@ class TestBuildState:
             assert float(np.sum(state.amplitudes**2)) == pytest.approx(1.0, abs=1e-15)
 
     def test_infeasible_layout_names_constraint(self):
-        layout = ChannelLayout(
-            (0.0, 0.001),
-            fiber_radius=0.01,
-            ring_thickness=0.004,
-            coincidence_width=0.002,
-        )
+        layout = equally_spaced_layout(2000, **WIDE)
         with pytest.raises(InfeasibleLayoutError, match="plane_gaps"):
             build_state(layout)
 
@@ -177,7 +156,7 @@ class TestBuildState:
         report = validate_layout(layout)
         assert report.feasible
         assert report.max_overlap < 1e-4
-        assert channel_overlap(layout, min(layout.gaps())) == report.max_overlap
+        assert channel_overlap(layout) == report.max_overlap
 
 
 class TestEntanglement:
@@ -196,16 +175,3 @@ class TestEntanglement:
     def test_weights_are_uniform(self):
         state = _state(6)
         assert np.max(np.abs(state.weights - 1.0 / 12.0)) < 1e-16
-
-
-class TestLayoutExport:
-    def test_csv_schema_and_determinism(self, tmp_path):
-        layout = equally_spaced_layout(5, **WIDE)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_layout_csv(layout, p1)
-        export_layout_csv(layout, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        with open(p1) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["plane", "alpha_rad", "gap_to_next_rad", "gap_margin_rad"]
-        assert len(rows) == 6
