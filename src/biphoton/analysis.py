@@ -25,12 +25,12 @@ ANALYTIC_RESIDUAL = 1e-9
 OAM_RESIDUAL = 1e-12
 # schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
 # would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS (ru_maxrss) above
-# the interpreter, measured at n = 3,000 on one thread with double-Gaussian
-# kernels, is 2.1 matrices on either route (the CLI's kernel on the parity
-# split, an off-centre one on the SVD); 7 leaves room for kernels that hold
-# more temporaries.
+# the interpreter at n = 3,000 on one thread is 1.8 matrices for the CLI's
+# kernel on the parity split and 2.1 for a pointwise off-centre double
+# Gaussian on the SVD; 7 leaves room for kernels that hold more temporaries.
 NUMERIC_MATRICES = 7
 NUMERIC_MEMORY_CAP = 2 * 2**30
+STRUCTURE_SLAB_ROWS = 32  # rows of the structure tests' differences formed at a time
 
 
 class SchmidtMethod(Enum):
@@ -217,13 +217,17 @@ def _symmetric_centrosymmetric(mat: np.ndarray, atol: float) -> bool:
 
     Both differences change sign under the map that made them (transposing,
     or reversing both axes), so their largest entry is their largest
-    |entry|: one reduction each, in one n x n buffer.
+    |entry|: one reduction each, over every entry, formed a slab of rows at
+    a time in one small reused buffer.
     """
-    diff = mat - mat.T
-    if diff.max() > atol:
-        return False
-    np.subtract(mat, mat[::-1, ::-1], out=diff)
-    return not diff.max() > atol
+    n, rows = len(mat), STRUCTURE_SLAB_ROWS
+    diff = np.empty((min(rows, n), n))
+    for other in (mat.T, mat[::-1, ::-1]):
+        for i in range(0, n, rows):
+            slab = np.subtract(mat[i : i + rows], other[i : i + rows], out=diff[: n - i])
+            if slab.max() > atol:
+                return False
+    return True
 
 
 def schmidt_numeric(
@@ -235,7 +239,8 @@ def schmidt_numeric(
     the singular values are grid-independent once converged. If
     feature_width is given, the grid must put at least 8 points across
     it. A matrix whose n x n working set would exceed NUMERIC_MEMORY_CAP
-    bytes is refused (ConfigError) before anything is allocated.
+    bytes is refused (ConfigError) before anything is allocated. A writable
+    array the kernel returns that owns its data is scaled in place.
 
     The weights are the squared singular values, found by one of two routes:
     - symmetric and centrosymmetric (a kernel with K(x, y) = K(y, x) =
@@ -264,7 +269,8 @@ def schmidt_numeric(
             f"{n} x {n} matrices, more than the {NUMERIC_MEMORY_CAP} byte cap"
         )
     x = lo + (np.arange(n) + 0.5) * h
-    mat = np.asarray(kernel(x[:, None], x[None, :]), dtype=float) * h
+    mat = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
+    mat = np.multiply(mat, h, out=mat if mat.flags.writeable and mat.flags.owndata else None)
     top, bottom = mat.max(), mat.min()
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ConfigError("kernel is not finite on the grid")

@@ -15,14 +15,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
-from .amplitude import (
-    SINC_GAUSS_FITTED,
-    SINC_GAUSS_PUBLISHED,
-    exp_inplace,
-    validity_report,
-)
+from .amplitude import SINC_GAUSS_FITTED, SINC_GAUSS_PUBLISHED, validity_report
 from .analysis import (
     azimuthal_density,
     azimuthal_widths,
@@ -85,6 +81,8 @@ def _emit(args, payload: dict, name: str) -> None:
 
 
 def _load_config(args) -> RunConfig:
+    # a command reads these keys only where it has the flags that set them
+    unread = [k for k in ("grid", "published_constants") if not hasattr(args, k)]
     overrides = {
         "grid": getattr(args, "grid", None),
         "published_constants": (
@@ -95,7 +93,7 @@ def _load_config(args) -> RunConfig:
         "L": _maybe(parse_length, getattr(args, "length", None)),
         "phi0": _maybe(parse_angle, getattr(args, "phi0", None)),
     }
-    return load_run_config(args.config, **overrides)
+    return load_run_config(args.config, unread, **overrides)
 
 
 def _maybe(fn, value):
@@ -214,6 +212,23 @@ def cmd_density(args) -> int:
     return 0
 
 
+def _double_gaussian(a: float, b: float):
+    """schmidt_numeric's kernel exp(-(x+y)^2 / 2a^2 - (x-y)^2 / 2b^2) as a Hankel
+    times a Toeplitz matrix: on its uniform grid x_i + x_j and x_i - x_j take
+    2n - 1 values each, found from the first and last points, so 2(2n - 1)
+    exponentials, not 2 n^2. Exactly symmetric, centrosymmetric to roundoff."""
+
+    def kernel(col, row):
+        col, row, n = col[:, 0], row[0], len(col)
+        sums = np.concatenate((col + row[0], col[-1] + row[1:]))
+        diffs = np.concatenate((col[0] - row[:0:-1], col - row[0]))
+        hankel = sliding_window_view(np.exp(-(sums**2) / (2 * a * a)), n)
+        toeplitz = sliding_window_view(np.exp(-(diffs**2) / (2 * b * b)), n)
+        return hankel * toeplitz[:, ::-1]
+
+    return kernel
+
+
 def cmd_schmidt(args) -> int:
     cfg = _load_config(args)
     scales = derive_scales(cfg.experiment())
@@ -222,20 +237,9 @@ def cmd_schmidt(args) -> int:
     if args.method == "analytic":
         spectrum = schmidt_analytic(a, b)
     elif args.method == "numeric":
-        # double-Gaussian azimuthal kernel; window covers the wide Gaussian
-        def factor(s, width):
-            # exp(-s^2 / (2 width^2)) in s; s^2 / -c is -(s^2) / c bit for bit
-            np.square(s, out=s)
-            s /= -(2 * width * width)
-            return exp_inplace(s)
-
-        def kernel(x, y):
-            k = factor(x + y, a)
-            k *= factor(x - y, b)
-            return k
-
+        # the window covers the wide Gaussian
         spectrum = schmidt_numeric(
-            kernel, -4.0 * a, 4.0 * a, cfg.grid, feature_width=b
+            _double_gaussian(a, b), -4.0 * a, 4.0 * a, cfg.grid, feature_width=b
         )
     else:
         spectrum = oam_spectrum(dist)

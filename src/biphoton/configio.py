@@ -87,9 +87,9 @@ _KEY_PARSERS = {
 }
 
 
-def load_run_config(path: str | Path | None = None, **overrides) -> RunConfig:
+def load_run_config(path: str | Path | None = None, unread=(), **overrides) -> RunConfig:
     """Load a config file (or the built-in reference when path is None) and
-    apply keyword overrides."""
+    apply keyword overrides. Keys in `unread`, never read by the caller, are refused."""
     if path is None:
         text = (
             resources.files("biphoton")
@@ -111,6 +111,8 @@ def load_run_config(path: str | Path | None = None, **overrides) -> RunConfig:
     for key, (lineno, val) in read_key_values(text, source).items():
         if key not in _KEY_PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in unread:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} is not read by this command")
         attr, parser = _KEY_PARSERS[key]
         try:
             values[attr] = parser(val)

@@ -411,6 +411,55 @@ class TestProbabilityDensity:
         if width_factor > 1.0:
             assert np.mean(-2.0 * g <= -746.0) > 0.5
 
+    @staticmethod
+    def _previous_density(model, pair):
+        """probability_density as the expressions stood before its
+        intermediates were updated in place, one new array per operation."""
+        s = model.scales
+        th1 = np.asarray(pair.theta1, dtype=float)
+        th2 = np.asarray(pair.theta2, dtype=float)
+        dth = th1 - th2
+        dal = pair.alpha_diff
+        t0 = s.theta0
+        g = (dth**2 + t0 * t0 * dal**2) / (2.0 * s.dtheta_p**2)
+        core = t0 * (th1 + th2 - 2.0 * t0)
+        if model.kind is not AmplitudeKind.NWO:
+            al0 = pair.alpha0
+            core = core - (s.n_o / s.n_p0) * s.zeta * (
+                np.cos(al0) * dth - t0 * np.sin(al0) * dal
+            )
+        x = core / (2.0 * s.dtheta_L)
+        if model.kind is AmplitudeKind.DOUBLE_GAUSSIAN:
+            return np.exp(-2.0 * g) * np.exp(-model.gauss_constant * x * x)
+        return (np.exp(-g) * np.sinc(x / math.pi)) ** 2
+
+    @pytest.mark.parametrize("shape", ["polar_plane", "azimuth_axis", "scalars"])
+    def test_every_kind_bits_of_the_previous_expressions(self, ref_scales, shape):
+        # a 401^2 polar plane with scalar azimuths (criterion 10), scalar
+        # polar angles with 51 azimuths (export_grid_csv), and all scalars
+        s = ref_scales
+        if shape == "polar_plane":
+            th1, th2 = self._polar_plane(s, 401, 1.0)
+            dal, al0 = 1.5 * s.b, -0.7
+        elif shape == "azimuth_axis":
+            th1, th2 = s.theta0 + 2e-5, s.theta0 - 1e-5
+            dal, al0 = np.linspace(-4.0 * s.b, 4.0 * s.b, 51), 0.9
+        else:
+            th1, th2, dal, al0 = s.theta0 + 2e-5, s.theta0 - 1e-5, 1.5 * s.b, 0.9
+        pair = AngularPair(th1, th2, al0 + 0.5 * dal, al0 - 0.5 * dal)
+        inputs = [np.copy(v) for v in (pair.theta1, pair.theta2, pair.alpha1, pair.alpha2)]
+        for kind in AmplitudeKind:
+            model = AmplitudeModel(kind, s)
+            got, expected = probability_density(model, pair), self._previous_density(model, pair)
+            assert type(got) is type(expected)
+            _assert_bits_equal(got, expected)
+        after = (pair.theta1, pair.theta2, pair.alpha1, pair.alpha2)
+        for before, now in zip(inputs, after):
+            _assert_bits_equal(np.asarray(now), before)
+        full0 = AmplitudeModel(AmplitudeKind.FULL, s).without_walkoff()
+        nwo = AmplitudeModel(AmplitudeKind.NWO, s)
+        _assert_bits_equal(probability_density(full0, pair), probability_density(nwo, pair))
+
     def test_scalar_pair_gives_a_scalar(self, ref_scales):
         model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)
         p = AngularPair(THETA0 + 1e-4, THETA0, 0.3, 0.3 - 2e-4)

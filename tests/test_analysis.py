@@ -21,11 +21,14 @@ from biphoton import (
     schmidt_modes,
     schmidt_numeric,
 )
-from biphoton import analysis
+from biphoton import analysis, cli
 
 # hand evaluation: dalpha_c = lambda_p / (pi w theta0) at the reference config
 DALPHA_C = 3.14154234838055e-4
 R_REFERENCE = 10000.160129018375
+# three full row slabs of the structure test and a partial one of 11 rows
+SLAB_ROWS = analysis.STRUCTURE_SLAB_ROWS
+SLABS_N = 3 * SLAB_ROWS + 11
 
 
 def _dg_kernel(a, b):
@@ -224,6 +227,28 @@ class TestSchmidtNumeric:
         sp = schmidt_numeric(_dg_kernel(a, b), -4.0 * a, 4.0 * a, n, feature_width=b)
         assert abs(sp.schmidt_number - k_dense) < 1e-12 * k_dense
 
+    @pytest.mark.parametrize("n", [883, 884])
+    def test_cli_kernel_from_one_dimensional_factors(self, monkeypatch, n):
+        # the CLI's Hankel x Toeplitz double Gaussian on schmidt_numeric's
+        # grid: the pointwise matrix to roundoff, exactly symmetric, parity
+        # split taken, and the same K as the pointwise kernel
+        a, b = 1.0, 1.0 / 13.0
+        h = 8.0 * a / n
+        x = -4.0 * a + (np.arange(n) + 0.5) * h
+        mat = cli._double_gaussian(a, b)(x[:, None], x[None, :])
+        pointwise = _dg_kernel(a, b)(x[:, None], x[None, :])
+        assert np.max(np.abs(mat - pointwise)) <= 1e-14 * np.max(pointwise)
+        assert np.array_equal(mat, mat.T)
+        calls = []
+        split = analysis._parity_eigvalsh
+        monkeypatch.setattr(analysis, "_parity_eigvalsh",
+                            lambda m: calls.append(len(m)) or split(m))
+        sp = schmidt_numeric(cli._double_gaussian(a, b), -4.0 * a, 4.0 * a, n,
+                             feature_width=b)
+        assert calls == [n]
+        ref = schmidt_numeric(_dg_kernel(a, b), -4.0 * a, 4.0 * a, n, feature_width=b)
+        assert abs(sp.schmidt_number - ref.schmidt_number) < 1e-12 * ref.schmidt_number
+
     def test_centrosymmetric_kernel_takes_the_parity_split(self, monkeypatch):
         calls = []
         split = analysis._parity_eigvalsh
@@ -272,15 +297,25 @@ class TestSchmidtNumeric:
                 schmidt_numeric(kernel, -4.0, 4.0, 64)
 
     @pytest.mark.parametrize("shift", [0.9, 1.1])
-    @pytest.mark.parametrize("moved", [[(3, 20)], [(3, 20), (20, 3)], [(0, 0)],
-                                       [(3, 20), (60, 43)]])
+    @pytest.mark.parametrize("moved", [
+        (64, [(3, 20)]), (64, [(3, 20), (20, 3)]), (64, [(0, 0)]),
+        (64, [(3, 20), (60, 43)]),
+        # several row slabs and a partial one, which holds the last 11 rows;
+        # the last pair is a transposed pair across the first two slabs
+        (SLABS_N, [(SLABS_N - 2, 5)]),
+        (SLABS_N, [(5, SLABS_N - 2), (SLABS_N - 2, 5)]),
+        (SLABS_N, [(SLABS_N - 2, 5), (1, SLABS_N - 6)]),
+        (SLABS_N, [(SLABS_N - 1, SLABS_N - 1)]),
+        (SLABS_N, [(7, SLAB_ROWS + 8), (SLAB_ROWS + 8, 7)]),
+    ])
     def test_structure_route_is_allclose_route(self, monkeypatch, shift, moved):
-        # a 64 x 64 double-Gaussian matrix with entries moved by shift * atol:
+        # an n x n double-Gaussian matrix with entries moved by shift * atol:
         # one off-diagonal entry (breaks both symmetries), a transposed pair
         # or a corner (only the centrosymmetry), a pair mirrored through the
         # centre (only the symmetry); the parity split is taken exactly when
         # np.allclose(rtol=0) allows it
-        n, h = 64, 8.0 / 64
+        n, moved = moved
+        h = 8.0 / n
         seen = {}
 
         def kernel(x, y):

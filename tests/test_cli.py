@@ -136,6 +136,44 @@ class TestParams:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,key", [
+        (("params",), "grid"),
+        (("params",), "published_constants"),
+        (("multichannel", "-N", "4"), "grid"),
+        (("multichannel", "-N", "4"), "published_constants"),
+        (("scan", "--quantity", "sincfit", "--range", "-1", "1"), "grid"),
+        (("density",), "published_constants"),
+        (("schmidt", "--method", "oam"), "published_constants"),
+    ])
+    def test_config_keys_a_command_never_reads_are_refused(self, tmp_path, capsys,
+                                                          argv, key):
+        path = tmp_path / "run.config"
+        path.write_text(f"w = 2um\n{key} = {'300' if key == 'grid' else 'true'}\n")
+        out = tmp_path / "out"
+        assert run(*argv, "--config", str(path), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"{path}:2: key {key!r} is not read by this command" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_config_keys_a_command_reads_are_accepted(self, tmp_path):
+        # 219 points is the smallest numeric grid at 0.25 um, above the default 201
+        grid = tmp_path / "grid.config"
+        grid.write_text("w = 0.25um\ngrid = 219\n")
+        assert run("schmidt", "--method", "numeric", "--config", str(grid),
+                   "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "schmidt_numeric.json").read_text())
+        assert summary["n_modes"] == 219
+        assert run("density", "--config", str(grid), "--out", str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "density.csv")
+        assert len(rows) == 219 * 219
+        published = tmp_path / "published.config"
+        published.write_text("published_constants = true\n")
+        assert run("scan", "--quantity", "sincfit", "--range", "-3", "3", "--points", "61",
+                   "--config", str(published), "--out", str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "scan_sincfit.csv")
+        x, y = np.array(rows).T
+        assert np.max(np.abs(y - (np.sinc(x / math.pi) ** 2 - np.exp(-0.395 * x * x)))) < 1e-11
+
 
 class TestScan:
     def test_index_difference_crosses_window_edges(self, tmp_path):
