@@ -210,27 +210,20 @@ def phase_mismatch(pair: AngularPair, scales: DerivedScales, include_walkoff: bo
 
 def _pump_and_sinc_terms(pair: AngularPair, scales: DerivedScales, walkoff: bool):
     """(g, x): the pump Gaussian is exp(-g), the sinc argument x is
-    L * Delta / 2 expressed through dtheta_L (phase_mismatch is 2/L times x).
-    In-place steps on arrays made here keep the plain expressions' order, so
-    their bits; polar and azimuthal terms meet in broadcasting operations."""
+    L * Delta / 2 expressed through dtheta_L (phase_mismatch is 2/L times x)."""
     th1 = np.asarray(pair.theta1, dtype=float)
     th2 = np.asarray(pair.theta2, dtype=float)
     dth = th1 - th2
     dal = pair.alpha_diff
     t0 = scales.theta0
-    g = dth**2 + t0 * t0 * dal**2
-    g /= 2.0 * scales.dtheta_p**2
-    core = th1 + th2
-    core -= 2.0 * t0
-    core *= t0
+    g = (dth**2 + t0 * t0 * dal**2) / (2.0 * scales.dtheta_p**2)
+    core = t0 * (th1 + th2 - 2.0 * t0)
     if walkoff:
         al0 = pair.alpha0
-        tilt = np.cos(al0) * dth
-        tilt -= t0 * np.sin(al0) * dal
-        tilt *= (scales.n_o / scales.n_p0) * scales.zeta
-        core = core - tilt
-    core /= 2.0 * scales.dtheta_L
-    return g, core
+        core = core - (scales.n_o / scales.n_p0) * scales.zeta * (
+            np.cos(al0) * dth - t0 * np.sin(al0) * dal
+        )
+    return g, core / (2.0 * scales.dtheta_L)
 
 
 def exp_inplace(x):

@@ -25,12 +25,12 @@ ANALYTIC_RESIDUAL = 1e-9
 OAM_RESIDUAL = 1e-12
 # schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
 # would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS (ru_maxrss) above
-# the interpreter at n = 3,000 on one thread is 1.8 matrices for the CLI's
-# kernel on the parity split and 2.1 for a pointwise off-centre double
-# Gaussian on the SVD; 7 leaves room for kernels that hold more temporaries.
+# the interpreter, measured at n = 3,000 on one thread with double-Gaussian
+# kernels, is 2.0 matrices on either route (the CLI's kernel on the parity
+# split, an off-centre one on the SVD); 7 leaves room for kernels that hold
+# more temporaries.
 NUMERIC_MATRICES = 7
 NUMERIC_MEMORY_CAP = 2 * 2**30
-STRUCTURE_SLAB_ROWS = 32  # rows of the structure tests' differences formed at a time
 
 
 class SchmidtMethod(Enum):
@@ -217,17 +217,13 @@ def _symmetric_centrosymmetric(mat: np.ndarray, atol: float) -> bool:
 
     Both differences change sign under the map that made them (transposing,
     or reversing both axes), so their largest entry is their largest
-    |entry|: one reduction each, over every entry, formed a slab of rows at
-    a time in one small reused buffer.
+    |entry|: one reduction each, in one n x n buffer.
     """
-    n, rows = len(mat), STRUCTURE_SLAB_ROWS
-    diff = np.empty((min(rows, n), n))
-    for other in (mat.T, mat[::-1, ::-1]):
-        for i in range(0, n, rows):
-            slab = np.subtract(mat[i : i + rows], other[i : i + rows], out=diff[: n - i])
-            if slab.max() > atol:
-                return False
-    return True
+    diff = mat - mat.T
+    if diff.max() > atol:
+        return False
+    np.subtract(mat, mat[::-1, ::-1], out=diff)
+    return not diff.max() > atol
 
 
 def schmidt_numeric(
@@ -235,12 +231,12 @@ def schmidt_numeric(
 ) -> SchmidtSpectrum:
     """Quadrature oracle: Schmidt spectrum of a two-argument kernel on [lo, hi]^2.
 
-    Midpoint-rule quadrature weights are folded into the n x n matrix so
-    the singular values are grid-independent once converged. If
+    The midpoint-rule weight h, which would make the singular values
+    grid-independent, cancels in the normalised weights, so the n x n
+    matrix holds the bare kernel values and h sets only the tolerance. If
     feature_width is given, the grid must put at least 8 points across
     it. A matrix whose n x n working set would exceed NUMERIC_MEMORY_CAP
-    bytes is refused (ConfigError) before anything is allocated. A writable
-    array the kernel returns that owns its data is scaled in place.
+    bytes is refused (ConfigError) before anything is allocated.
 
     The weights are the squared singular values, found by one of two routes:
     - symmetric and centrosymmetric (a kernel with K(x, y) = K(y, x) =
@@ -248,9 +244,9 @@ def schmidt_numeric(
       [-4a, 4a]): eigvalsh on the even and odd parity blocks, each of
       half the size;
     - any other matrix: the singular values of a dense SVD.
-    Both structure tests allow an absolute deviation of
-    1e-13 max(1, max|mat|) and no relative one. A kernel with a nan or
-    infinite value on the grid is refused (ConfigError).
+    Both structure tests allow the weighted matrix h * mat an absolute
+    deviation of 1e-13 max(1, max|h * mat|) and no relative one. A kernel
+    with a nan or infinite value on the grid is refused (ConfigError).
     """
     if hi <= lo:
         raise ConfigError("need hi > lo")
@@ -270,11 +266,10 @@ def schmidt_numeric(
         )
     x = lo + (np.arange(n) + 0.5) * h
     mat = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
-    mat = np.multiply(mat, h, out=mat if mat.flags.writeable and mat.flags.owndata else None)
     top, bottom = mat.max(), mat.min()
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ConfigError("kernel is not finite on the grid")
-    atol = 1e-13 * max(1.0, top, -bottom)
+    atol = 1e-13 * max(1.0, h * top, -h * bottom) / h
     if _symmetric_centrosymmetric(mat, atol):
         s = np.abs(_parity_eigvalsh(mat))
     else:

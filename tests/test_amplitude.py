@@ -412,9 +412,9 @@ class TestProbabilityDensity:
             assert np.mean(-2.0 * g <= -746.0) > 0.5
 
     @staticmethod
-    def _previous_density(model, pair):
-        """probability_density as the expressions stood before its
-        intermediates were updated in place, one new array per operation."""
+    def _plain_density(model, pair):
+        """probability_density for every kind, written out one new array
+        per operation as the amplitude formulas state them."""
         s = model.scales
         th1 = np.asarray(pair.theta1, dtype=float)
         th2 = np.asarray(pair.theta2, dtype=float)
@@ -434,7 +434,7 @@ class TestProbabilityDensity:
         return (np.exp(-g) * np.sinc(x / math.pi)) ** 2
 
     @pytest.mark.parametrize("shape", ["polar_plane", "azimuth_axis", "scalars"])
-    def test_every_kind_bits_of_the_previous_expressions(self, ref_scales, shape):
+    def test_every_kind_bits_of_the_plain_expressions(self, ref_scales, shape):
         # a 401^2 polar plane with scalar azimuths (criterion 10), scalar
         # polar angles with 51 azimuths (export_grid_csv), and all scalars
         s = ref_scales
@@ -450,7 +450,7 @@ class TestProbabilityDensity:
         inputs = [np.copy(v) for v in (pair.theta1, pair.theta2, pair.alpha1, pair.alpha2)]
         for kind in AmplitudeKind:
             model = AmplitudeModel(kind, s)
-            got, expected = probability_density(model, pair), self._previous_density(model, pair)
+            got, expected = probability_density(model, pair), self._plain_density(model, pair)
             assert type(got) is type(expected)
             _assert_bits_equal(got, expected)
         after = (pair.theta1, pair.theta2, pair.alpha1, pair.alpha2)
