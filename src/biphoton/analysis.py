@@ -2,8 +2,8 @@
 
 Width ratio R, the analytic double-Gaussian Schmidt spectrum, and the OAM
 spectrum, plus two oracles used to cross-validate the closed forms: a
-discretized-kernel eigensolve/SVD and a trapezoid check of the Fourier
-coefficients. Entropies are in bits.
+discretized-kernel eigensolve (parity blocks) or SVD, and a trapezoid check
+of the Fourier coefficients as one chirp-z transform. Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ OAM_RESIDUAL = 1e-12
 # schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
 # would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS (ru_maxrss) above
 # the interpreter, measured at n = 3,000 on one thread with double-Gaussian
-# kernels, is 2.0 matrices on either route (the CLI's kernel on the parity
-# split, an off-centre one on the SVD); 7 leaves room for kernels that hold
-# more temporaries.
+# kernels, is 1.5 matrices for the CLI's kernel on the parity split and 2.0
+# for an off-centre one, built pointwise in place, on the SVD; 7 leaves room
+# for kernels that hold more temporaries.
 NUMERIC_MATRICES = 7
 NUMERIC_MEMORY_CAP = 2 * 2**30
+# entries of the buffer the structure tests of schmidt_numeric reuse per slab
+STRUCTURE_SLAB = 2**15
 
 
 class SchmidtMethod(Enum):
@@ -55,8 +57,10 @@ class AzimuthalDistribution:
     single_width: float = math.pi
 
     def __post_init__(self):
-        if self.coincidence_width <= 0.0:
-            raise ConfigError("coincidence width must be > 0")
+        for name in ("coincidence_width", "single_width"):
+            width = getattr(self, name)
+            if not 0.0 < width < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {width!r}")
 
 
 def azimuthal_widths(scales: DerivedScales) -> AzimuthalDistribution:
@@ -189,26 +193,27 @@ def schmidt_modes(n_max: int, a: float, b: float, alpha) -> np.ndarray:
     return math.sqrt(scale) * u
 
 
-def _parity_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric centrosymmetric matrix (mat == J mat J).
+def _parity_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a symmetric centrosymmetric matrix (mat == J mat J),
+    whose eigenvalues together are mat's.
 
     The orthogonal similarity Q = [I J; I -J]/sqrt(2) splits it exactly
     into an even block A + BJ (with the middle row and column, scaled by
     sqrt(2), when n is odd) and an odd block A - BJ, where A and B are
     the top-left and top-right m x m corners, m = n // 2 (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976). Two half-size eigensolves cost about a
-    quarter of one full-size one.
+    quarter of one full-size one, and the blocks hold half of mat.
     """
     n = len(mat)
     m = n // 2
     corner = mat[:m, :m]
     flipped = mat[:m, n - m :][:, ::-1]
-    even = corner + flipped
-    odd = corner - flipped
+    even = np.empty((n - m, n - m))
+    np.add(corner, flipped, out=even[:m, :m])
     if n % 2:
-        middle = math.sqrt(2.0) * mat[:m, m]
-        even = np.block([[even, middle[:, None]], [middle[None, :], mat[m, m]]])
-    return np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)))
+        even[:m, m] = even[m, :m] = math.sqrt(2.0) * mat[:m, m]
+        even[m, m] = mat[m, m]
+    return even, corner - flipped
 
 
 def _symmetric_centrosymmetric(mat: np.ndarray, atol: float) -> bool:
@@ -217,13 +222,22 @@ def _symmetric_centrosymmetric(mat: np.ndarray, atol: float) -> bool:
 
     Both differences change sign under the map that made them (transposing,
     or reversing both axes), so their largest entry is their largest
-    |entry|: one reduction each, in one n x n buffer.
+    |entry|. They are taken over slabs of rows in one buffer of about
+    STRUCTURE_SLAB entries; the largest entry of all slabs is the largest
+    entry of the whole difference, so the slabs pick the same route.
     """
-    diff = mat - mat.T
-    if diff.max() > atol:
-        return False
-    np.subtract(mat, mat[::-1, ::-1], out=diff)
-    return not diff.max() > atol
+    n = len(mat)
+    rows = max(1, STRUCTURE_SLAB // n)
+    buf = np.empty((rows, n))
+    mirrored = mat[::-1, ::-1]
+    for lo in range(0, n, rows):
+        diff = buf[: min(rows, n - lo)]
+        hi = lo + len(diff)
+        for other in (mat[:, lo:hi].T, mirrored[lo:hi]):
+            np.subtract(mat[lo:hi], other, out=diff)
+            if diff.max() > atol:
+                return False
+    return True
 
 
 def schmidt_numeric(
@@ -271,7 +285,9 @@ def schmidt_numeric(
         raise ConfigError("kernel is not finite on the grid")
     atol = 1e-13 * max(1.0, h * top, -h * bottom) / h
     if _symmetric_centrosymmetric(mat, atol):
-        s = np.abs(_parity_eigvalsh(mat))
+        blocks = _parity_blocks(mat)
+        del mat  # the blocks are all the eigensolves need
+        s = np.abs(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
     else:
         s = np.linalg.svd(mat, compute_uv=False)
     weights = s * s
@@ -346,24 +362,41 @@ def oam_spectrum(
     )
 
 
-def _trapezoid_cosines(f: np.ndarray, x: np.ndarray, l_max: int) -> np.ndarray:
-    """np.trapezoid(f * cos(l x), x) for l = 0..l_max, all at once.
+def _cis(c: float, m: np.ndarray) -> np.ndarray:
+    """exp(i c m) for increasing integers m >= 0, without rounding the phase
+    c m: c = hi + lo, with hi cut to few enough bits that hi m is exact and
+    lo m small, so each factor's error stays at roundoff however large c m."""
+    mantissa, exponent = math.frexp(c)
+    bits = max(0, 53 - int(m[-1]).bit_length())
+    hi = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
+    return np.exp(1j * hi * m) * np.exp(1j * (c - hi) * m)
 
-    Blocked exponentials: with l = g B + j, B = isqrt(l_max) + 1,
-    exp(i l x) = exp(i g B x) exp(i j x), so two tables of at most
-    B x len(x) exponentials and one matrix product with the
-    trapezoid-weighted f give every coefficient as a real part. The
-    weights come from np.diff(x), as np.trapezoid's do.
+
+def _uniform_trapezoid_cosines(f: np.ndarray, start: float, step: float, l_max: int) -> np.ndarray:
+    """Trapezoid rule of f(x) cos(l x) on x_j = start + j step, l = 0..l_max.
+
+    A Bluestein chirp-z transform: with l j = (l^2 + j^2 - (l - j)^2) / 2,
+    sum_j g_j exp(i step l j) is the chirp exp(i step l^2 / 2) times the
+    convolution of g_j exp(i step j^2 / 2) with exp(-i step k^2 / 2), which
+    three FFTs of length 2^ceil(log2(n + l_max)) evaluate (Bluestein, IEEE
+    Trans. Audio Electroacoust. 18, 451, 1970; Rabiner, Schafer & Rader,
+    Bell Syst. Tech. J. 48, 1249, 1969).
     """
-    steps = np.diff(x)
-    weights = np.zeros(len(x))
-    weights[:-1] += steps / 2.0
-    weights[1:] += steps / 2.0
-    block = math.isqrt(l_max) + 1
-    giants = -(-(l_max + 1) // block)
-    baby = np.exp(1j * np.outer(np.arange(block), x))
-    giant = np.exp(1j * np.outer(block * np.arange(giants), x))
-    return ((giant * (weights * f)) @ baby.T).real.ravel()[: l_max + 1]
+    n = len(f)
+    size = 1 << (n + l_max - 1).bit_length()
+    k = np.arange(max(n, l_max + 1), dtype=float)
+    chirp = _cis(-0.5 * step, k * k)
+    g = np.zeros(size, dtype=complex)
+    g[:n] = f * np.conj(chirp[:n])
+    g[0] *= 0.5
+    g[n - 1] *= 0.5
+    spectrum = np.fft.fft(g)
+    g[:] = 0.0
+    g[: l_max + 1] = chirp[: l_max + 1]
+    g[size - n + 1 :] = chirp[n - 1 : 0 : -1]
+    spectrum *= np.fft.fft(g)
+    conv = np.fft.ifft(spectrum)[: l_max + 1]
+    return step * (conv * np.conj(chirp[: l_max + 1]) * _cis(start, k[: l_max + 1])).real
 
 
 def coefficient_check(dist: AzimuthalDistribution, l_max: int, n_quad: int = 40001) -> float:
@@ -371,14 +404,18 @@ def coefficient_check(dist: AzimuthalDistribution, l_max: int, n_quad: int = 400
     Gaussian from the closed form exp(-l^2 dac^2 / 2), over l = 0..l_max.
 
     Each coefficient is the n_quad-point trapezoid rule on |delta| <= 10 dac;
-    all l = 0..l_max come from one product of blocked exponentials
-    (_trapezoid_cosines) instead of one cosine table per l.
+    all l = 0..l_max come from one chirp-z transform
+    (_uniform_trapezoid_cosines) instead of one cosine table per l.
     """
+    if l_max < 0:
+        raise ConfigError(f"l_max must be >= 0, got {l_max}")
+    if n_quad < 2:
+        raise ConfigError(f"n_quad must be >= 2, got {n_quad}")
     dac = dist.coincidence_width
     half = 10.0 * dac
     delta = np.linspace(-half, half, n_quad)
     envelope = np.exp(-(delta**2) / (2.0 * dac * dac))
-    c_num = _trapezoid_cosines(envelope, delta, l_max)
+    c_num = _uniform_trapezoid_cosines(envelope, -half, 2.0 * half / (n_quad - 1), l_max)
     ls = np.arange(l_max + 1)
     c_closed = math.sqrt(2.0 * math.pi) * dac * np.exp(-(ls.astype(float) ** 2) * dac * dac / 2.0)
     return float(np.max(np.abs(c_num - c_closed) / c_closed[0]))

@@ -1,6 +1,7 @@
 """Width ratio, Schmidt spectra (analytic, numeric SVD, OAM), Fourier checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,6 +56,13 @@ class TestAzimuthalWidths:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ConfigError):
             AzimuthalDistribution(coincidence_width=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["coincidence_width", "single_width"])
+    def test_non_finite_width_rejected(self, name, bad):
+        widths = {"coincidence_width": 1e-3, name: bad}
+        with pytest.raises(ConfigError, match=name):
+            AzimuthalDistribution(**widths)
 
 
 class TestRParameter:
@@ -215,7 +223,8 @@ class TestSchmidtNumeric:
         x = -4.0 * a + (np.arange(n) + 0.5) * h
         mat = _dg_kernel(a, b)(x[:, None], x[None, :]) * h
         dense = np.linalg.eigvalsh(mat)
-        split = np.sort(analysis._parity_eigvalsh(mat))
+        split = np.sort(np.concatenate([np.linalg.eigvalsh(block)
+                                        for block in analysis._parity_blocks(mat)]))
         assert len(split) == n
         assert np.max(np.abs(split - dense)) < 1e-13 * np.max(np.abs(dense))
         w = np.sort(dense**2)[::-1]
@@ -237,14 +246,29 @@ class TestSchmidtNumeric:
         assert np.max(np.abs(mat - pointwise)) <= 1e-14 * np.max(pointwise)
         assert np.array_equal(mat, mat.T)
         calls = []
-        split = analysis._parity_eigvalsh
-        monkeypatch.setattr(analysis, "_parity_eigvalsh",
+        split = analysis._parity_blocks
+        monkeypatch.setattr(analysis, "_parity_blocks",
                             lambda m: calls.append(len(m)) or split(m))
         sp = schmidt_numeric(cli._double_gaussian(a, b), -4.0 * a, 4.0 * a, n,
                              feature_width=b)
         assert calls == [n]
         ref = schmidt_numeric(_dg_kernel(a, b), -4.0 * a, 4.0 * a, n, feature_width=b)
         assert abs(sp.schmidt_number - ref.schmidt_number) < 1e-12 * ref.schmidt_number
+
+    @pytest.mark.parametrize("n", [883, 884])
+    def test_parity_route_peak_memory(self, n):
+        # the CLI's kernel is one n x n array; the structure tests use a
+        # small buffer, and the matrix is dropped once its two half-size
+        # blocks exist, so about 1.5 matrices are held at once
+        a, b = 1.0, 1.0 / 13.0
+        kernel = cli._double_gaussian(a, b)
+        tracemalloc.start()
+        try:
+            schmidt_numeric(kernel, -4.0 * a, 4.0 * a, n, feature_width=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 8 * n * n
 
     def test_kernel_array_is_left_as_returned(self):
         # a kernel that hands back a matrix it keeps, writable or read-only,
@@ -263,8 +287,8 @@ class TestSchmidtNumeric:
 
     def test_centrosymmetric_kernel_takes_the_parity_split(self, monkeypatch):
         calls = []
-        split = analysis._parity_eigvalsh
-        monkeypatch.setattr(analysis, "_parity_eigvalsh",
+        split = analysis._parity_blocks
+        monkeypatch.setattr(analysis, "_parity_blocks",
                             lambda mat: calls.append(len(mat)) or split(mat))
         schmidt_numeric(_dg_kernel(1.0, 0.2), -4.0, 4.0, 321, feature_width=0.2)
         assert calls == [321]
@@ -284,7 +308,7 @@ class TestSchmidtNumeric:
         def refuse(mat):
             raise AssertionError("parity split used on a matrix without both symmetries")
 
-        monkeypatch.setattr(analysis, "_parity_eigvalsh", refuse)
+        monkeypatch.setattr(analysis, "_parity_blocks", refuse)
         h = 8.0 / n
         x = -4.0 + (np.arange(n) + 0.5) * h
         for kernel in (off_centre, nearly_symmetric):
@@ -329,8 +353,8 @@ class TestSchmidtNumeric:
             return k
 
         split = []
-        real_split = analysis._parity_eigvalsh
-        monkeypatch.setattr(analysis, "_parity_eigvalsh",
+        real_split = analysis._parity_blocks
+        monkeypatch.setattr(analysis, "_parity_blocks",
                             lambda mat: split.append(1) or real_split(mat))
         schmidt_numeric(kernel, -4.0, 4.0, n)
         mat = seen["mat"]
@@ -439,19 +463,47 @@ class TestCoefficientCheck:
 
     @pytest.mark.parametrize("l_max", [0, 1, 3, 4, 24, 25, 37])
     def test_blocked_exponentials_match_per_l_trapezoid(self, l_max):
-        # per-l np.trapezoid reference, on the check's uniform grid and on
-        # a non-uniform one; l_max straddles the block boundaries B^2
+        # per-l np.trapezoid reference on the check's uniform grid
         dac = 0.02
-        uniform = np.linspace(-10.0 * dac, 10.0 * dac, 2001)
-        rng = np.random.default_rng(7)
-        ragged = np.sort(rng.uniform(-10.0 * dac, 10.0 * dac, 1500))
-        for delta in (uniform, ragged):
-            f = np.exp(-(delta**2) / (2.0 * dac * dac))
-            ref = np.array([np.trapezoid(f * np.cos(l * delta), delta)
-                            for l in range(l_max + 1)])
-            got = analysis._trapezoid_cosines(f, delta, l_max)
-            assert got.shape == (l_max + 1,)
-            assert np.max(np.abs(got - ref)) < 1e-14 * ref[0]
+        delta = np.linspace(-10.0 * dac, 10.0 * dac, 2001)
+        f = np.exp(-(delta**2) / (2.0 * dac * dac))
+        ref = np.array([np.trapezoid(f * np.cos(l * delta), delta)
+                        for l in range(l_max + 1)])
+        got = analysis._uniform_trapezoid_cosines(f, delta[0], 0.4 / 2000, l_max)
+        assert got.shape == (l_max + 1,)
+        assert np.max(np.abs(got - ref)) < 1e-14 * ref[0]
+
+    @pytest.mark.parametrize("n_quad, l_max", [(2, 0), (2, 9), (30, 29), (31, 30),
+                                               (30, 64), (31, 257), (1000, 1500),
+                                               (1001, 40)])
+    def test_chirp_z_matches_per_l_trapezoid(self, n_quad, l_max):
+        # odd and even grids, l_max below, at and above n_quad, and an
+        # off-centre window, against np.trapezoid one l at a time
+        dac = 0.02
+        start, stop = -7.0 * dac, 13.0 * dac
+        delta = np.linspace(start, stop, n_quad)
+        f = np.exp(-(delta**2) / (2.0 * dac * dac))
+        ref = np.array([np.trapezoid(f * np.cos(l * delta), delta)
+                        for l in range(l_max + 1)])
+        got = analysis._uniform_trapezoid_cosines(
+            f, start, (stop - start) / (n_quad - 1), l_max)
+        assert got.shape == (l_max + 1,)
+        assert np.max(np.abs(got - ref)) < 1e-14 * abs(ref[0])
+
+    def test_peak_memory_at_l_max_900(self, ref_dist):
+        # a few FFT buffers of 2^16 complex entries, 1 MiB each
+        tracemalloc.start()
+        try:
+            coefficient_check(ref_dist, l_max=900)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("l_max, n_quad", [(-1, 40001), (-5, 101), (10, 1), (10, 0)])
+    def test_invalid_sizes_refused(self, ref_dist, l_max, n_quad):
+        with pytest.raises(ConfigError, match="l_max" if l_max < 0 else "n_quad"):
+            coefficient_check(ref_dist, l_max, n_quad=n_quad)
 
     def test_matches_per_l_trapezoid_deviation(self):
         # coarse quadrature: l near 2 pi / h aliases onto l = 0, so the
