@@ -59,7 +59,6 @@ from .multichannel import (
     MultichannelState,
     build_state,
     equally_spaced_layout,
-    max_feasible_planes,
     multichannel_entanglement,
     validate_layout,
 )

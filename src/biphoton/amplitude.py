@@ -22,9 +22,9 @@ from .errors import ConfigError, DegenerateGeometryError, RegimeError
 
 # Gaussian replacement constant for sinc^2(x): the half-maximum match
 # ln 2 / x_h^2 with sinc^2(x_h) = 1/2, not a least-squares fit (that is
-# sinc_gauss_fit, 0.3814 on |x| <= pi). The name is kept for compatibility;
-# the published alternative 0.395 is selectable.
-SINC_GAUSS_FITTED = 0.359
+# sinc_gauss_fit, 0.3814 on |x| <= pi); the published alternative 0.395 is
+# selectable.
+SINC_GAUSS_HALF_MAX = 0.359
 SINC_GAUSS_PUBLISHED = 0.395
 
 CLAMP_TOL = 1e-12  # |cos alpha_p| may exceed 1 by rounding; clamp within this
@@ -114,7 +114,7 @@ class AmplitudeModel:
 
     kind: AmplitudeKind
     scales: DerivedScales
-    gauss_constant: float = SINC_GAUSS_FITTED
+    gauss_constant: float = SINC_GAUSS_HALF_MAX
 
     def without_walkoff(self) -> "AmplitudeModel":
         return replace(self, scales=replace(self.scales, zeta=0.0))
@@ -308,28 +308,28 @@ def sinc_gauss_fit(
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Dimensionless validity diagnostics of the linearized amplitude."""
+    """Dimensionless validity diagnostics of the linearized amplitude. Each
+    flag warns once its ratio reaches WARN_THRESHOLD; the length threshold
+    is flagged by its ratio to L, which is the linearization ratio."""
 
     diffraction_ratio: float  # L / (8 n_o L_D)
     linearization_ratio: float  # n_o lambda_p / (pi L theta0^2)
     length_threshold_um: float  # n_o lambda_p / (pi theta0^2)
-    diffraction_ok: bool
-    linearization_ok: bool
-    length_ok: bool
 
     WARN_THRESHOLD = 0.1
 
     def to_dict(self) -> dict:
+        def flag(ratio: float) -> str:
+            return "pass" if ratio < self.WARN_THRESHOLD else "warn"
+
         return {
             "L_over_8_no_LD": self.diffraction_ratio,
             "no_lambda_over_pi_L_theta0_sq": self.linearization_ratio,
             "L_threshold_um": self.length_threshold_um,
             "flags": {
-                "L_over_8_no_LD": "pass" if self.diffraction_ok else "warn",
-                "no_lambda_over_pi_L_theta0_sq": (
-                    "pass" if self.linearization_ok else "warn"
-                ),
-                "L_threshold_um": "pass" if self.length_ok else "warn",
+                "L_over_8_no_LD": flag(self.diffraction_ratio),
+                "no_lambda_over_pi_L_theta0_sq": flag(self.linearization_ratio),
+                "L_threshold_um": flag(self.linearization_ratio),
             },
         }
 
@@ -344,19 +344,11 @@ def validity_report(config: ExperimentConfig, scales: DerivedScales) -> Validity
     if scales.theta0 == 0.0:
         raise RegimeError("collinear regime: linearization impossible")
     rayleigh = math.pi * config.w**2 / config.lambda_p
-    diffraction = config.L / (8.0 * scales.n_o * rayleigh)
-    linearization = scales.n_o * config.lambda_p / (
-        math.pi * config.L * scales.theta0**2
-    )
     threshold = scales.n_o * config.lambda_p / (math.pi * scales.theta0**2)
-    warn = ValidityReport.WARN_THRESHOLD
     return ValidityReport(
-        diffraction_ratio=diffraction,
-        linearization_ratio=linearization,
+        diffraction_ratio=config.L / (8.0 * scales.n_o * rayleigh),
+        linearization_ratio=threshold / config.L,
         length_threshold_um=threshold,
-        diffraction_ok=diffraction < warn,
-        linearization_ok=linearization < warn,
-        length_ok=threshold / config.L < warn,
     )
 
 

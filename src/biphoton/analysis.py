@@ -303,9 +303,10 @@ def schmidt_numeric(
     )
 
 
-def oam_closed_form_k(theta0_w_over_lambda: float) -> float:
-    """The closed-form OAM Schmidt number 2 sqrt(2 pi) theta0 w / lambda_p."""
-    return 2.0 * math.sqrt(2.0 * math.pi) * theta0_w_over_lambda
+def oam_closed_form_k(dist: AzimuthalDistribution) -> float:
+    """The published closed-form OAM Schmidt number 2 sqrt(2 pi) theta0 w /
+    lambda_p, through the coincidence width: theta0 w / lambda_p = 1 / (pi dac)."""
+    return 2.0 * math.sqrt(2.0 * math.pi) * (1.0 / (math.pi * dist.coincidence_width))
 
 
 def oam_spectrum(
@@ -345,9 +346,6 @@ def oam_spectrum(
     # relative tail mass of the untruncated sum, Gaussian-integral estimate
     residual = float(math.sqrt(math.pi) / dac * math.erfc(l_max * dac) / total)
     weights = raw / total
-    # closed form expressed through the coincidence width:
-    # theta0 w / lambda_p = 1 / (pi * dac)
-    closed = oam_closed_form_k(1.0 / (math.pi * dac))
     k, entropy = _schmidt_measures(weights)
     return SchmidtSpectrum(
         method=SchmidtMethod.OAM,
@@ -358,7 +356,7 @@ def oam_spectrum(
         truncated=truncated,
         oam_l=ls,
         oam_parity=parity,
-        closed_form_k=closed,
+        closed_form_k=oam_closed_form_k(dist),
     )
 
 

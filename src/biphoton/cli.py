@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
-from .amplitude import SINC_GAUSS_FITTED, SINC_GAUSS_PUBLISHED, validity_report
+from .amplitude import SINC_GAUSS_HALF_MAX, SINC_GAUSS_PUBLISHED, validity_report
 from .analysis import (
     azimuthal_density,
     azimuthal_widths,
@@ -139,7 +139,7 @@ def cmd_params(args) -> int:
             "single_width_rad": dist.single_width,
             "R": r_parameter(dist),
             "K_double_gaussian": double_gaussian_k(scales.a, scales.b),
-            "K_oam_closed_form": oam_closed_form_k(scales.theta0 * exp.w / exp.lambda_p),
+            "K_oam_closed_form": oam_closed_form_k(dist),
         },
     }
     _emit(args, payload, "params")
@@ -165,7 +165,7 @@ def cmd_scan(args) -> int:
         y = -zeta * np.cos(x)
         header = ["alpha_p", "np_prime"]
     elif args.quantity == "sincfit":
-        c = SINC_GAUSS_PUBLISHED if cfg.published_constants else SINC_GAUSS_FITTED
+        c = SINC_GAUSS_PUBLISHED if cfg.published_constants else SINC_GAUSS_HALF_MAX
         y = np.sinc(x / math.pi) ** 2 - np.exp(-c * x * x)
         header = ["x", "sinc_sq_minus_gauss"]
     else:  # argparse choices guard this

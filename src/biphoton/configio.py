@@ -56,13 +56,14 @@ def _parse_unit(text: str, units: dict, what: str) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Experiment parameters plus the grid size and the Gaussian-constant switch."""
+    """Experiment parameters, which load_run_config takes from the reference
+    config file, plus the grid size and the Gaussian-constant switch."""
 
-    lambda_p: float = 0.4047  # um
-    w: float = 1464.0  # um
-    L: float = 5000.0  # um
-    phi0: float = 0.7  # rad
-    crystal_name: str = "BBO"
+    lambda_p: float  # um
+    w: float  # um
+    L: float  # um
+    phi0: float  # rad
+    crystal_name: str
     grid: int = 201
     published_constants: bool = False
 
@@ -88,16 +89,12 @@ _KEY_PARSERS = {
 
 
 def load_run_config(path: str | Path | None = None, unread=(), **overrides) -> RunConfig:
-    """Load a config file (or the built-in reference when path is None) and
-    apply keyword overrides. Keys in `unread`, never read by the caller, are refused."""
-    if path is None:
-        text = (
-            resources.files("biphoton")
-            .joinpath(f"data/{REFERENCE_CONFIG_NAME}")
-            .read_text()
-        )
-        source = REFERENCE_CONFIG_NAME
-    else:
+    """The built-in reference config, with a config file (if given) laid over
+    it and then the keyword overrides that are not None. Keys in `unread`,
+    never read by the caller, are refused."""
+    reference = resources.files("biphoton").joinpath(f"data/{REFERENCE_CONFIG_NAME}")
+    values = _parse_run_config(reference.read_text(), REFERENCE_CONFIG_NAME, unread)
+    if path is not None:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
@@ -105,9 +102,17 @@ def load_run_config(path: str | Path | None = None, unread=(), **overrides) -> R
             text = p.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        source = str(path)
+        values.update(_parse_run_config(text, str(path), unread))
+    values.update({k: v for k, v in overrides.items() if v is not None})
+    cfg = RunConfig(**values)
+    if cfg.grid < 8:
+        raise ConfigError(f"grid resolution too small: {cfg.grid}")
+    return cfg
 
-    values: dict = {}
+
+def _parse_run_config(text: str, source: str, unread) -> dict:
+    """RunConfig fields set by a config file's text; errors name source:line."""
+    values = {}
     for key, (lineno, val) in read_key_values(text, source).items():
         if key not in _KEY_PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
@@ -118,12 +123,7 @@ def load_run_config(path: str | Path | None = None, unread=(), **overrides) -> R
             values[attr] = parser(val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
-
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**values)
-    if cfg.grid < 8:
-        raise ConfigError(f"grid resolution too small: {cfg.grid}")
-    return cfg
+    return values
 
 
 def write_csv(path: str | Path, header, axes, values) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, RegimeError, WavelengthRangeError
 
-_ROOT_TOL = 1e-12  # bisection x-tolerance, rad
+_ROOT_TOL = 1e-12  # root-finder x-tolerance, rad
 _PRESCAN_POINTS = 200
 
 # Accepted pump waist and crystal length, um: admits the plane-wave limit
@@ -128,10 +128,12 @@ def cone_angle(crystal: SellmeierSet, lambda_p: float, phi0: float) -> float:
 def collinear_threshold(crystal: SellmeierSet, lambda_p: float) -> tuple[float, float]:
     """The two optic-axis angles bounding the noncollinear window on [0, pi].
 
-    Roots of n_p(phi0) - n_o(2 lambda_p) found by bracketing bisection from
-    a dense pre-scan. Between the two roots the difference is negative and
-    a cone exists.
+    Roots of n_p(phi0) - n_o(2 lambda_p), each found by Brent's method in a
+    bracket from a dense pre-scan. Between the two roots the difference is
+    negative and a cone exists.
     """
+    from scipy.optimize import brentq  # about 0.8 s to import; kept off module import
+
     no = ordinary_index(crystal, 2.0 * lambda_p)
 
     def f(phi0: float) -> float:
@@ -149,21 +151,7 @@ def collinear_threshold(crystal: SellmeierSet, lambda_p: float) -> tuple[float, 
             f"no noncollinear window: found {len(brackets)} sign changes of "
             "n_p(phi0) - n_o on [0, pi], expected 2"
         )
-    return tuple(_bisect(f, lo, hi) for (lo, hi) in brackets)
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    while hi - lo > _ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return tuple(brentq(f, lo, hi, xtol=_ROOT_TOL) for (lo, hi) in brackets)
 
 
 @dataclass(frozen=True)

@@ -53,21 +53,8 @@ class ChannelLayout:
         return math.pi / self.n_planes
 
 
-def equally_spaced_layout(
-    n: int,
-    fiber_radius: float,
-    ring_thickness: float,
-    coincidence_width: float,
-    safety_factor: float = DEFAULT_SAFETY_FACTOR,
-) -> ChannelLayout:
-    """N planes uniformly spread over the ring."""
-    return ChannelLayout(
-        n_planes=n,
-        fiber_radius=fiber_radius,
-        ring_thickness=ring_thickness,
-        coincidence_width=coincidence_width,
-        safety_factor=safety_factor,
-    )
+# N planes uniformly spread over the ring: a ChannelLayout is nothing else
+equally_spaced_layout = ChannelLayout
 
 
 @dataclass(frozen=True)
@@ -91,12 +78,6 @@ class LayoutReport:
         }
 
 
-def _required_gap(fiber_radius: float, coincidence_width: float, safety: float) -> float:
-    """Smallest plane gap that clears the fiber diameter and the
-    coincidence width by the safety factor."""
-    return safety * max(2.0 * fiber_radius, coincidence_width)
-
-
 def channel_overlap(layout: ChannelLayout) -> float:
     """Overlap of the coincidence ridges of two adjacent planes, normalized
     cross-correlation of the azimuthal Gaussian density across the gap."""
@@ -107,8 +88,8 @@ def validate_layout(layout: ChannelLayout) -> LayoutReport:
     """Check fiber size against ring thickness and the plane gap against the
     safety-scaled fiber diameter and coincidence width."""
     gap = layout.gap
-    required = _required_gap(
-        layout.fiber_radius, layout.coincidence_width, layout.safety_factor
+    required = layout.safety_factor * max(
+        2.0 * layout.fiber_radius, layout.coincidence_width
     )
     fiber_ok = layout.fiber_radius > layout.ring_thickness
     gap_ok = gap > required
@@ -131,16 +112,6 @@ def validate_layout(layout: ChannelLayout) -> LayoutReport:
         constraints=constraints,
         max_overlap=channel_overlap(layout),
     )
-
-
-def max_feasible_planes(
-    fiber_radius: float,
-    coincidence_width: float,
-    safety_factor: float = DEFAULT_SAFETY_FACTOR,
-) -> int:
-    """Largest N whose equally spaced layout satisfies the gap constraint."""
-    required = _required_gap(fiber_radius, coincidence_width, safety_factor)
-    return int(math.floor(math.pi / required))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from biphoton import (
     validity_report,
     walkoff_slope,
 )
-from biphoton.amplitude import SINC_GAUSS_FITTED
+from biphoton.amplitude import SINC_GAUSS_HALF_MAX
 
 LAMBDA_P = 0.4047
 
@@ -84,9 +84,9 @@ def test_criterion_05_sinc_gaussian_fit(ref_scales):
     x_half = brentq(lambda x: np.sinc(x / math.pi) ** 2 - 0.5, 0.1, 3.0)
     c_half = math.log(2.0) / x_half**2
     model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)
-    assert model.gauss_constant == SINC_GAUSS_FITTED
-    assert SINC_GAUSS_FITTED == pytest.approx(0.359, abs=0.02)
-    assert abs(SINC_GAUSS_FITTED - c_half) < 2e-3
+    assert model.gauss_constant == SINC_GAUSS_HALF_MAX
+    assert SINC_GAUSS_HALF_MAX == pytest.approx(0.359, abs=0.02)
+    assert abs(SINC_GAUSS_HALF_MAX - c_half) < 2e-3
 
 
 def test_criterion_06_length_threshold(ref_config, ref_scales):

@@ -44,6 +44,25 @@ class TestParams:
         )
         assert set(payload["validity"]["flags"].values()) == {"pass"}
 
+    @pytest.mark.parametrize("argv,warned", [
+        (("--length", "20um"), {"no_lambda_over_pi_L_theta0_sq", "L_threshold_um"}),
+        (("--waist", "2um", "--length", "2cm"), {"L_over_8_no_LD"}),
+        (("--length", "27.8um"), set()),  # L / 10 just above the 2.73 um threshold
+    ])
+    def test_validity_flags_warn_from_their_ratio(self, tmp_path, argv, warned):
+        # a flag warns once its ratio reaches 0.1; the length threshold is
+        # flagged by its ratio to L, the linearization ratio
+        assert run("params", "--out", str(tmp_path), *argv) == 0
+        payload = json.loads((tmp_path / "params.json").read_text())
+        validity, length = payload["validity"], payload["config"]["L_um"]
+        ratios = {
+            "L_over_8_no_LD": validity["L_over_8_no_LD"],
+            "no_lambda_over_pi_L_theta0_sq": validity["no_lambda_over_pi_L_theta0_sq"],
+            "L_threshold_um": validity["L_threshold_um"] / length,
+        }
+        assert {k for k, v in validity["flags"].items() if v == "warn"} == warned
+        assert {k for k, r in ratios.items() if r >= 0.1} == warned
+
     def test_json_roundtrip(self, tmp_path, capsys):
         assert run("params", "--out", str(tmp_path)) == 0
         stdout = capsys.readouterr().out
@@ -380,6 +399,15 @@ class TestSchmidt:
         err = capsys.readouterr().err
         assert "config error" in err and f"{NUMERIC_MATRICES * 8 * 10**16} bytes" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [(), ("--waist", "5um")])
+    def test_params_prints_the_oam_closed_form(self, tmp_path, argv):
+        # params and schmidt --method oam print one closed form, bit for bit
+        assert run("params", "--out", str(tmp_path), *argv) == 0
+        assert run("schmidt", "--method", "oam", "--out", str(tmp_path), *argv) == 0
+        params = json.loads((tmp_path / "params.json").read_text())
+        oam = json.loads((tmp_path / "schmidt_oam.json").read_text())
+        assert params["entanglement"]["K_oam_closed_form"] == oam["closed_form_k"]
 
     def test_oam_summary(self, tmp_path):
         assert run("schmidt", "--method", "oam", "--out", str(tmp_path)) == 0

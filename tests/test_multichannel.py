@@ -12,7 +12,6 @@ from biphoton import (
     MultichannelState,
     build_state,
     equally_spaced_layout,
-    max_feasible_planes,
     multichannel_entanglement,
     validate_layout,
 )
@@ -94,26 +93,40 @@ class TestValidateLayout:
 
 
 class TestMaxFeasiblePlanes:
+    """The largest N that validate_layout accepts: N planes fit only when
+    their gap pi/N exceeds the required gap."""
+
     def test_reference_config_value(self, ref_scales, ref_dist):
         ring = ref_scales.dtheta_L / ref_scales.theta0
-        n_max = max_feasible_planes(2.0 * ring, ref_dist.coincidence_width)
-        assert n_max == 1714  # frozen from an independent packing evaluation
+        # 1714 frozen from an independent packing evaluation
+        for n, expect in [(1714, True), (1715, False)]:
+            layout = equally_spaced_layout(n, 2.0 * ring, ring, ref_dist.coincidence_width)
+            assert validate_layout(layout).feasible is expect
 
     @pytest.mark.parametrize("fiber_radius,cw", [(0.01, 0.002), (0.002, 0.02)])
     def test_agrees_with_greedy_packing(self, fiber_radius, cw):
         safety = 3.0
-        n_max = max_feasible_planes(fiber_radius, cw, safety)
-        # greedy oracle: place planes left to right at the minimum allowed
-        # spacing and count how many fit in the period-pi window
+        # greedy oracle: place planes left to right at more than the minimum
+        # allowed spacing and count how many fit in the period-pi window
         required = safety * max(2.0 * fiber_radius, cw)
-        greedy = int(math.pi // required)
-        assert n_max == greedy
-        # the reported maximum must actually validate, one more must not
+        n_max = math.ceil(math.pi / required) - 1
+        # the greedy maximum must actually validate, one more must not
         for n, expect in [(n_max, True), (n_max + 1, False)]:
             layout = equally_spaced_layout(
                 n, fiber_radius, min(fiber_radius / 2, 0.9 * fiber_radius), cw, safety
             )
             assert validate_layout(layout).feasible is expect
+
+    def test_gap_equal_to_required_is_refused(self):
+        # r_f = pi/12 at safety 3 requires a gap of pi/2: two planes leave
+        # exactly that gap, which does not exceed it, so one plane is the most
+        fiber_radius = math.pi / 12
+        geometry = dict(fiber_radius=fiber_radius, ring_thickness=fiber_radius / 2,
+                        coincidence_width=1e-3, safety_factor=3.0)
+        gaps = validate_layout(equally_spaced_layout(2, **geometry)).constraints["plane_gaps"]
+        assert gaps["min_gap_rad"] == gaps["required_gap_rad"]
+        assert not gaps["pass"]
+        assert validate_layout(equally_spaced_layout(1, **geometry)).feasible
 
 
 class TestBuildState:
@@ -149,10 +162,7 @@ class TestBuildState:
         # near the packing limit the gap is still 3x the coincidence width,
         # so the ridge cross-correlation across the gap is tiny
         ring = ref_scales.dtheta_L / ref_scales.theta0
-        n_max = max_feasible_planes(2.0 * ring, ref_dist.coincidence_width)
-        layout = equally_spaced_layout(
-            n_max, 2.0 * ring, ring, ref_dist.coincidence_width
-        )
+        layout = equally_spaced_layout(1714, 2.0 * ring, ring, ref_dist.coincidence_width)
         report = validate_layout(layout)
         assert report.feasible
         assert report.max_overlap < 1e-4
