@@ -10,11 +10,9 @@ from .amplitude import (
     AzimuthMode,
     GeometryMode,
     amplitude,
-    phase_mismatch,
     probability_density,
     pump_azimuth_cos,
     pump_polar_angle,
-    sinc_gauss_fit,
     transverse_sum_diff,
     validity_report,
 )

@@ -21,9 +21,8 @@ from .crystal import DerivedScales, ExperimentConfig
 from .errors import ConfigError, DegenerateGeometryError, RegimeError
 
 # Gaussian replacement constant for sinc^2(x): the half-maximum match
-# ln 2 / x_h^2 with sinc^2(x_h) = 1/2, not a least-squares fit (that is
-# sinc_gauss_fit, 0.3814 on |x| <= pi); the published alternative 0.395 is
-# selectable.
+# ln 2 / x_h^2 with sinc^2(x_h) = 1/2, not a least-squares fit (that gives
+# 0.3814 on |x| <= pi); the published alternative 0.395 is selectable.
 SINC_GAUSS_HALF_MAX = 0.359
 SINC_GAUSS_PUBLISHED = 0.395
 
@@ -198,19 +197,9 @@ def pump_azimuth_cos(
     return np.clip(out, -1.0, 1.0)
 
 
-def phase_mismatch(pair: AngularPair, scales: DerivedScales, include_walkoff: bool):
-    """Linearized longitudinal phase mismatch Delta, um^-1.
-
-    Without walk-off this is the linear-in-polar-angles form
-    (pi / n_o lambda_p) theta0 (theta1 + theta2 - 2 theta0); with walk-off
-    the linearized anisotropy contribution is added.
-    """
-    return 2.0 / scales.L * _pump_and_sinc_terms(pair, scales, include_walkoff)[1]
-
-
 def _pump_and_sinc_terms(pair: AngularPair, scales: DerivedScales, walkoff: bool):
-    """(g, x): the pump Gaussian is exp(-g), the sinc argument x is
-    L * Delta / 2 expressed through dtheta_L (phase_mismatch is 2/L times x)."""
+    """(g, x): the pump Gaussian is exp(-g), the sinc argument x is L Delta / 2
+    of the linearized phase mismatch Delta, expressed through dtheta_L."""
     th1 = np.asarray(pair.theta1, dtype=float)
     th2 = np.asarray(pair.theta2, dtype=float)
     dth = th1 - th2
@@ -279,31 +268,6 @@ def probability_density(model: AmplitudeModel, pair: AngularPair):
     sinc_gauss *= x
     density *= exp_inplace(sinc_gauss)
     return density
-
-
-def sinc_gauss_fit(
-    fit_range: float = math.pi, grid_size: int = 2001, target=None
-) -> tuple[float, float]:
-    """Least-squares fit of exp(-c x^2) to sinc^2(x) on a uniform grid over
-    [-fit_range, fit_range].
-
-    Args:
-        target: optional callable replacing sinc^2 as the fitted function
-            (useful for self-consistency checks).
-
-    Returns:
-        (c, residual) with residual the root-mean-square misfit.
-    """
-    from scipy.optimize import least_squares
-
-    if grid_size < 64:
-        raise ConfigError(f"grid_size must be >= 64, got {grid_size}")
-    x = np.linspace(-fit_range, fit_range, grid_size)
-    target = np.sinc(x / math.pi) ** 2 if target is None else target(x)
-    sol = least_squares(lambda c: np.exp(-c[0] * x * x) - target, x0=[0.35])
-    c = float(sol.x[0])
-    resid = float(np.sqrt(np.mean((np.exp(-c * x * x) - target) ** 2)))
-    return c, resid
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from .errors import ConfigError, RegimeError, ResolutionError
 MODE_CAP = 10**6
 ANALYTIC_RESIDUAL = 1e-9
 OAM_RESIDUAL = 1e-12
+OAM_MAX_COINCIDENCE_WIDTH = 0.1  # rad; oam_spectrum's narrow-ridge regime
+COEFFICIENT_QUAD_POINTS = 40001  # coefficient_check's trapezoid points
 # schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
 # would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS (ru_maxrss) above
 # the interpreter, measured at n = 3,000 on one thread with double-Gaussian
@@ -43,7 +45,7 @@ class SchmidtMethod(Enum):
 
 @dataclass(frozen=True)
 class AzimuthalDistribution:
-    """Coincidence and single-particle widths of the azimuthal density.
+    """Coincidence width of the azimuthal density.
 
     The density is a ridge of unit height along alpha1 == alpha2; the
     conditional (coincidence) 1/e half-width is dtheta_p/theta0 and the
@@ -54,13 +56,11 @@ class AzimuthalDistribution:
     """
 
     coincidence_width: float
-    single_width: float = math.pi
 
     def __post_init__(self):
-        for name in ("coincidence_width", "single_width"):
-            width = getattr(self, name)
-            if not 0.0 < width < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {width!r}")
+        width = self.coincidence_width
+        if not 0.0 < width < math.inf:
+            raise ConfigError(f"coincidence_width must be finite and > 0, got {width!r}")
 
 
 def azimuthal_widths(scales: DerivedScales) -> AzimuthalDistribution:
@@ -71,8 +71,8 @@ def azimuthal_widths(scales: DerivedScales) -> AzimuthalDistribution:
 
 
 def r_parameter(dist: AzimuthalDistribution) -> float:
-    """Width-ratio entanglement parameter R = single / coincidence."""
-    return dist.single_width / dist.coincidence_width
+    """Width-ratio entanglement parameter R = single / coincidence = pi / dac."""
+    return math.pi / dist.coincidence_width
 
 
 @dataclass(frozen=True)
@@ -324,10 +324,10 @@ def oam_spectrum(
     2 sqrt(2 pi) theta0 w / lambda_p for comparison, which equals 2/pi of K.
     """
     dac = dist.coincidence_width
-    if dac >= 0.1:
+    if dac >= OAM_MAX_COINCIDENCE_WIDTH:
         raise RegimeError(
             f"coincidence width {dac:g} rad outside the narrow-ridge regime "
-            "(need < 0.1)"
+            f"(need < {OAM_MAX_COINCIDENCE_WIDTH:g})"
         )
     if l_max is None:
         # tail weight below OAM_RESIDUAL relative to the l=0 weight
@@ -397,23 +397,23 @@ def _uniform_trapezoid_cosines(f: np.ndarray, start: float, step: float, l_max: 
     return step * (conv * np.conj(chirp[: l_max + 1]) * _cis(start, k[: l_max + 1])).real
 
 
-def coefficient_check(dist: AzimuthalDistribution, l_max: int, n_quad: int = 40001) -> float:
+def coefficient_check(dist: AzimuthalDistribution, l_max: int) -> float:
     """Max relative deviation of Fourier coefficients of the azimuthal
     Gaussian from the closed form exp(-l^2 dac^2 / 2), over l = 0..l_max.
 
-    Each coefficient is the n_quad-point trapezoid rule on |delta| <= 10 dac;
-    all l = 0..l_max come from one chirp-z transform
-    (_uniform_trapezoid_cosines) instead of one cosine table per l.
+    Each coefficient is the COEFFICIENT_QUAD_POINTS-point trapezoid rule on
+    |delta| <= 10 dac, whose step h aliases l near 2 pi / h onto l = 0; all
+    l = 0..l_max come from one chirp-z transform (_uniform_trapezoid_cosines)
+    instead of one cosine table per l.
     """
     if l_max < 0:
         raise ConfigError(f"l_max must be >= 0, got {l_max}")
-    if n_quad < 2:
-        raise ConfigError(f"n_quad must be >= 2, got {n_quad}")
+    n = COEFFICIENT_QUAD_POINTS
     dac = dist.coincidence_width
     half = 10.0 * dac
-    delta = np.linspace(-half, half, n_quad)
+    delta = np.linspace(-half, half, n)
     envelope = np.exp(-(delta**2) / (2.0 * dac * dac))
-    c_num = _uniform_trapezoid_cosines(envelope, -half, 2.0 * half / (n_quad - 1), l_max)
+    c_num = _uniform_trapezoid_cosines(envelope, -half, 2.0 * half / (n - 1), l_max)
     ls = np.arange(l_max + 1)
     c_closed = math.sqrt(2.0 * math.pi) * dac * np.exp(-(ls.astype(float) ** 2) * dac * dac / 2.0)
     return float(np.max(np.abs(c_num - c_closed) / c_closed[0]))

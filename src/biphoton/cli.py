@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .amplitude import SINC_GAUSS_HALF_MAX, SINC_GAUSS_PUBLISHED, validity_report
 from .analysis import (
+    OAM_MAX_COINCIDENCE_WIDTH,
     azimuthal_density,
     azimuthal_widths,
     double_gaussian_k,
@@ -113,6 +114,7 @@ def cmd_params(args) -> int:
     scales = derive_scales(exp)
     report = validity_report(exp, scales)
     dist = azimuthal_widths(scales)
+    narrow_ridge = dist.coincidence_width < OAM_MAX_COINCIDENCE_WIDTH
     payload = {
         "config": {
             "lambda_p_um": exp.lambda_p,
@@ -136,10 +138,11 @@ def cmd_params(args) -> int:
         "validity": report.to_dict(),
         "entanglement": {
             "coincidence_width_rad": dist.coincidence_width,
-            "single_width_rad": dist.single_width,
+            "single_width_rad": math.pi,
             "R": r_parameter(dist),
             "K_double_gaussian": double_gaussian_k(scales.a, scales.b),
             "K_oam_closed_form": oam_closed_form_k(dist),
+            "flags": {"K_oam_closed_form": "pass" if narrow_ridge else "warn"},
         },
     }
     _emit(args, payload, "params")
@@ -259,12 +262,11 @@ def cmd_multichannel(args) -> int:
     cfg = _load_config(args)
     scales = derive_scales(cfg.experiment())
     dist = azimuthal_widths(scales)
-    ring_thickness = scales.dtheta_L / scales.theta0
-    fiber_radius = 2.0 * ring_thickness if args.fiber_radius is None else args.fiber_radius
+    ring = scales.ring_thickness
     layout = equally_spaced_layout(
         args.planes,
-        fiber_radius=fiber_radius,
-        ring_thickness=ring_thickness,
+        fiber_radius=2.0 * ring if args.fiber_radius is None else args.fiber_radius,
+        ring_thickness=ring,
         coincidence_width=dist.coincidence_width,
         safety_factor=args.safety,
     )

@@ -219,6 +219,11 @@ class DerivedScales:
     def L(self) -> float:
         return self.config.L
 
+    @property
+    def ring_thickness(self) -> float:
+        """Polar thickness of the emission ring over the cone angle, dtheta_L / theta0."""
+        return self.dtheta_L / self.theta0
+
 
 def derive_scales(config: ExperimentConfig) -> DerivedScales:
     """Populate DerivedScales for a valid noncollinear configuration.

@@ -74,7 +74,7 @@ def test_criterion_05_sinc_gaussian_fit(ref_scales):
     match of sinc^2.
 
     0.359 is not a least-squares constant: the unweighted least-squares fit
-    of exp(-c x^2) to sinc^2(x) on |x| <= pi gives 0.3814 (pinned in
+    of exp(-c x^2) to sinc^2(x) on |x| <= pi gives 0.3814 (computed in
     test_amplitude.py), and a dense fit on |x| <= 60 gives 0.3812. It is the
     constant at which exp(-c x^2) and sinc^2(x) fall to 1/2 at the same x:
     sinc^2(x_h) = 1/2 at x_h = 1.3916, so c = ln 2 / x_h^2 = 0.3580. The

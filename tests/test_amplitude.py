@@ -16,16 +16,15 @@ from biphoton import (
     GeometryMode,
     RegimeError,
     amplitude,
-    phase_mismatch,
     probability_density,
     pump_azimuth_cos,
     pump_polar_angle,
-    sinc_gauss_fit,
     transverse_sum_diff,
     validity_report,
 )
 from biphoton.amplitude import (
     EXP_MASK_MIN_SIZE,
+    _pump_and_sinc_terms,
     exp_inplace,
     export_grid_csv,
 )
@@ -217,12 +216,15 @@ class TestPumpAzimuthCos:
         assert np.max(np.abs(resid)) < 1e-10
 
 
+def _phase_mismatch(pair, scales, walkoff):
+    # linearized longitudinal mismatch Delta, um^-1: the sinc argument is L Delta / 2
+    return 2.0 / scales.L * _pump_and_sinc_terms(pair, scales, walkoff)[1]
+
+
 class TestPhaseMismatch:
     def test_zero_on_cone(self, ref_scales):
         p = AngularPair(THETA0, THETA0, 0.4, 0.4)
-        assert phase_mismatch(p, ref_scales, include_walkoff=False) == pytest.approx(
-            0.0, abs=1e-15
-        )
+        assert _phase_mismatch(p, ref_scales, walkoff=False) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_phase_matches_scales(self, ref_scales, ref_config):
         # L/2 times the constant part of the mismatch is the sinc constant
@@ -235,8 +237,8 @@ class TestPhaseMismatch:
 
     def test_walkoff_contribution_sign_and_value(self, ref_scales):
         p = AngularPair(THETA0 + 1e-3, THETA0 - 1e-3, 0.0, 0.0)
-        d_nwo = phase_mismatch(p, ref_scales, include_walkoff=False)
-        d_full = phase_mismatch(p, ref_scales, include_walkoff=True)
+        d_nwo = _phase_mismatch(p, ref_scales, walkoff=False)
+        d_full = _phase_mismatch(p, ref_scales, walkoff=True)
         expected = -(
             math.pi * ref_scales.zeta / (LAMBDA_P * ref_scales.n_p0)
         ) * 2e-3
@@ -320,26 +322,40 @@ class TestAmplitude:
         assert abs(amplitude(model, p) - amplitude(model, shifted)) > 1e-6
 
 
+def _gauss_fit(target, fit_range=math.pi):
+    """(c, rms misfit) of the unweighted least-squares fit of exp(-c x^2) to
+    target(x) on 2,001 uniform points over [-fit_range, fit_range]."""
+    from scipy.optimize import least_squares
+
+    x = np.linspace(-fit_range, fit_range, 2001)
+    y = target(x)
+    c = float(least_squares(lambda c: np.exp(-c[0] * x * x) - y, x0=[0.35]).x[0])
+    return c, float(np.sqrt(np.mean((np.exp(-c * x * x) - y) ** 2)))
+
+
+def _sinc_sq(x):
+    return np.sinc(x / math.pi) ** 2
+
+
 class TestSincGaussFit:
+    """The least-squares constant that the half-maximum 0.359 is not
+    (criterion 05)."""
+
     def test_default_fit_value_frozen(self):
         # unweighted least squares of exp(-c x^2) against sinc^2 on |x|<=pi;
         # frozen from an independent run of the same published criterion
-        c, resid = sinc_gauss_fit()
+        c, resid = _gauss_fit(_sinc_sq)
         assert c == pytest.approx(0.38140269714190805, abs=1e-6)
         assert 0.0 < resid < 0.05
 
     def test_self_fit_recovers_exponent(self):
-        c, resid = sinc_gauss_fit(target=lambda x: np.exp(-0.5 * x * x))
+        c, resid = _gauss_fit(lambda x: np.exp(-0.5 * x * x))
         assert c == pytest.approx(0.5, abs=1e-10)
         assert resid < 1e-9
 
     def test_residual_shrinks_with_range(self):
-        resids = [sinc_gauss_fit(fit_range=r)[1] for r in (math.pi, 2.0, 1.0, 0.5)]
+        resids = [_gauss_fit(_sinc_sq, fit_range=r)[1] for r in (math.pi, 2.0, 1.0, 0.5)]
         assert all(r2 < r1 for r1, r2 in zip(resids, resids[1:]))
-
-    def test_grid_size_precondition(self):
-        with pytest.raises(ConfigError):
-            sinc_gauss_fit(grid_size=32)
 
 
 def _assert_bits_equal(got, expected):

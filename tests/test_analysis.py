@@ -39,7 +39,8 @@ def _dg_kernel(a, b):
 class TestAzimuthalWidths:
     def test_reference_widths(self, ref_dist):
         assert ref_dist.coincidence_width == pytest.approx(DALPHA_C, rel=1e-12)
-        assert ref_dist.single_width == math.pi
+        # the single-particle width is the alpha0 window pi
+        assert r_parameter(ref_dist) == math.pi / ref_dist.coincidence_width
 
     def test_doubling_waist_halves_width(self, ref_config, bbo):
         import dataclasses
@@ -51,14 +52,14 @@ class TestAzimuthalWidths:
         assert d2.coincidence_width == pytest.approx(0.5 * DALPHA_C, rel=1e-12)
 
     def test_widths_well_separated(self, ref_dist):
-        assert ref_dist.single_width / ref_dist.coincidence_width > 10.0
+        assert math.pi / ref_dist.coincidence_width > 10.0
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ConfigError):
             AzimuthalDistribution(coincidence_width=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["coincidence_width", "single_width"])
+    @pytest.mark.parametrize("name", ["coincidence_width"])
     def test_non_finite_width_rejected(self, name, bad):
         widths = {"coincidence_width": 1e-3, name: bad}
         with pytest.raises(ConfigError, match=name):
@@ -500,24 +501,29 @@ class TestCoefficientCheck:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("l_max, n_quad", [(-1, 40001), (-5, 101), (10, 1), (10, 0)])
-    def test_invalid_sizes_refused(self, ref_dist, l_max, n_quad):
-        with pytest.raises(ConfigError, match="l_max" if l_max < 0 else "n_quad"):
-            coefficient_check(ref_dist, l_max, n_quad=n_quad)
+    @pytest.mark.parametrize("l_max", [-1, -5])
+    def test_negative_l_max_refused(self, ref_dist, l_max):
+        with pytest.raises(ConfigError, match="l_max"):
+            coefficient_check(ref_dist, l_max)
 
     def test_matches_per_l_trapezoid_deviation(self):
-        # coarse quadrature: l near 2 pi / h aliases onto l = 0, so the
-        # deviation is of order 1, and it must equal the per-l trapezoid's
-        dac, l_max, n_quad = 0.05, 800, 121
+        # the fixed grid's step h = 20 dac / 40,000 is coarse for l near
+        # 2 pi / h = 12,566 at dac = 1, which aliases onto l = 0, so the
+        # deviation is of order 1, and it must equal the per-l trapezoid's.
+        # Below l = 12,000 the aliased term exp(-(2 pi / h - l)^2 dac^2 / 2)
+        # is 0.0, so the per-l reference is needed only above it.
+        dac, l_lo, l_max = 1.0, 12000, 12600
         dist = AzimuthalDistribution(coincidence_width=dac)
-        delta = np.linspace(-10.0 * dac, 10.0 * dac, n_quad)
+        assert coefficient_check(dist, l_lo) < 1e-14
+        delta = np.linspace(-10.0 * dac, 10.0 * dac, analysis.COEFFICIENT_QUAD_POINTS)
         f = np.exp(-(delta**2) / (2.0 * dac * dac))
-        ls = np.arange(l_max + 1)
+        ls = np.arange(l_lo + 1, l_max + 1)
         ref = np.array([np.trapezoid(f * np.cos(l * delta), delta) for l in ls])
-        closed = math.sqrt(2.0 * math.pi) * dac * np.exp(-(ls**2) * dac * dac / 2.0)
-        want = np.max(np.abs(ref - closed) / closed[0])
-        assert want > 1e-3
-        assert coefficient_check(dist, l_max, n_quad=n_quad) == pytest.approx(want, abs=1e-14)
+        c0 = math.sqrt(2.0 * math.pi) * dac
+        closed = c0 * np.exp(-(ls**2) * dac * dac / 2.0)
+        want = np.max(np.abs(ref - closed) / c0)
+        assert want > 0.5
+        assert coefficient_check(dist, l_max) == pytest.approx(want, abs=1e-14)
 
 
 class TestAzimuthalDensity:

@@ -409,6 +409,15 @@ class TestSchmidt:
         oam = json.loads((tmp_path / "schmidt_oam.json").read_text())
         assert params["entanglement"]["K_oam_closed_form"] == oam["closed_form_k"]
 
+    @pytest.mark.parametrize("argv,flag", [((), "pass"), (("--waist", "2um"), "warn")])
+    def test_params_flags_the_oam_closed_form_regime(self, tmp_path, argv, flag):
+        # the flag warns exactly where schmidt --method oam refuses the ridge
+        assert run("params", "--out", str(tmp_path), *argv) == 0
+        params = json.loads((tmp_path / "params.json").read_text())
+        assert params["entanglement"]["flags"] == {"K_oam_closed_form": flag}
+        code = run("schmidt", "--method", "oam", "--out", str(tmp_path), *argv)
+        assert code == (0 if flag == "pass" else cli.EXIT_REGIME)
+
     def test_oam_summary(self, tmp_path):
         assert run("schmidt", "--method", "oam", "--out", str(tmp_path)) == 0
         summary = json.loads((tmp_path / "schmidt_oam.json").read_text())

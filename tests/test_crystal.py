@@ -203,6 +203,14 @@ class TestDerivedScales:
         assert s.dtheta_p < 1e-12
         assert s.b < 1e-11
 
+    def test_ring_thickness(self, ref_scales):
+        s = ref_scales
+        assert s.ring_thickness == s.dtheta_L / s.theta0
+        # n_o lambda_p / (pi L theta0) at the reference config
+        assert s.ring_thickness == pytest.approx(
+            N_O_DOWN * LAMBDA_P / (math.pi * 5000.0 * 0.2800911176503974), rel=1e-12
+        )
+
     def test_positivity_and_ordering(self, ref_scales):
         s = ref_scales
         assert s.dtheta_p > 0 and s.dtheta_L > 0

@@ -97,7 +97,7 @@ class TestMaxFeasiblePlanes:
     their gap pi/N exceeds the required gap."""
 
     def test_reference_config_value(self, ref_scales, ref_dist):
-        ring = ref_scales.dtheta_L / ref_scales.theta0
+        ring = ref_scales.ring_thickness
         # 1714 frozen from an independent packing evaluation
         for n, expect in [(1714, True), (1715, False)]:
             layout = equally_spaced_layout(n, 2.0 * ring, ring, ref_dist.coincidence_width)
@@ -161,7 +161,7 @@ class TestBuildState:
     def test_adjacent_overlap_small_at_safety_three(self, ref_scales, ref_dist):
         # near the packing limit the gap is still 3x the coincidence width,
         # so the ridge cross-correlation across the gap is tiny
-        ring = ref_scales.dtheta_L / ref_scales.theta0
+        ring = ref_scales.ring_thickness
         layout = equally_spaced_layout(1714, 2.0 * ring, ring, ref_dist.coincidence_width)
         report = validate_layout(layout)
         assert report.feasible
