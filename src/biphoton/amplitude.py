@@ -113,7 +113,6 @@ class AmplitudeModel:
 
     kind: AmplitudeKind
     scales: DerivedScales
-    gauss_constant: float = SINC_GAUSS_HALF_MAX
 
     def without_walkoff(self) -> "AmplitudeModel":
         return replace(self, scales=replace(self.scales, zeta=0.0))
@@ -255,8 +254,8 @@ def probability_density(model: AmplitudeModel, pair: AngularPair):
     """Peak-normalized probability density.
 
     DOUBLE_GAUSSIAN replaces sinc^2 by exp(-c x^2) with the half-maximum
-    constant 0.359 (or the published 0.395 when selected); other kinds
-    square the amplitude.
+    constant c = SINC_GAUSS_HALF_MAX (0.359); other kinds square the
+    amplitude.
     """
     if model.kind is not AmplitudeKind.DOUBLE_GAUSSIAN:
         return amplitude(model, pair) ** 2
@@ -264,7 +263,7 @@ def probability_density(model: AmplitudeModel, pair: AngularPair):
     density, x = _pump_and_sinc_terms(pair, model.scales, walkoff=True)
     density *= -2.0
     density = exp_inplace(density)
-    sinc_gauss = -model.gauss_constant * x
+    sinc_gauss = -SINC_GAUSS_HALF_MAX * x
     sinc_gauss *= x
     density *= exp_inplace(sinc_gauss)
     return density

@@ -9,7 +9,6 @@ of the Fourier coefficients as one chirp-z transform. Entropies are in bits.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -133,8 +132,8 @@ def schmidt_analytic(a: float, b: float, n_max: int | None = None) -> SchmidtSpe
     """Closed-form Schmidt spectrum of the double-Gaussian state.
 
     lambda_n = (4ab/(a+b)^2) * ((a-b)/(a+b))^(2n). n_max is auto-extended
-    until the geometric tail is below 1e-9 unless given; the mode count is
-    capped at 1e6 with a truncation warning.
+    until the geometric tail is below 1e-9 unless given; the auto-extended
+    mode count is capped at MODE_CAP, which sets `truncated`.
     """
     if a <= 0.0 or b <= 0.0:
         raise ConfigError(f"widths must be positive, got a={a!r}, b={b!r}")
@@ -147,14 +146,8 @@ def schmidt_analytic(a: float, b: float, n_max: int | None = None) -> SchmidtSpe
         else:
             # residual after n_max is q^(n_max+1)
             n_max = int(math.ceil(math.log(ANALYTIC_RESIDUAL) / math.log(q))) + 1
-        if n_max + 1 > MODE_CAP:
-            warnings.warn(
-                f"analytic spectrum truncated at {MODE_CAP} modes "
-                f"(needed {n_max + 1} for tail < {ANALYTIC_RESIDUAL:g})",
-                stacklevel=2,
-            )
-            n_max = MODE_CAP - 1
-            truncated = True
+        truncated = n_max + 1 > MODE_CAP
+        n_max = min(n_max, MODE_CAP - 1)
     elif n_max < 0:
         raise ConfigError("n_max must be >= 0")
     n = np.arange(n_max + 1)
@@ -332,13 +325,8 @@ def oam_spectrum(
     if l_max is None:
         # tail weight below OAM_RESIDUAL relative to the l=0 weight
         l_max = int(math.ceil(math.sqrt(-math.log(OAM_RESIDUAL)) / dac))
-    truncated = False
-    if 2 * l_max + 1 > MODE_CAP:
-        warnings.warn(
-            f"OAM spectrum truncated at {MODE_CAP} modes", stacklevel=2
-        )
-        l_max = (MODE_CAP - 1) // 2
-        truncated = True
+    truncated = 2 * l_max + 1 > MODE_CAP
+    l_max = min(l_max, (MODE_CAP - 1) // 2)
     ls = np.concatenate(([0], np.repeat(np.arange(1, l_max + 1), 2)))
     parity = np.array(["cos"] + ["cos", "sin"] * l_max)
     raw = np.exp(-(ls.astype(float) ** 2) * dac * dac)

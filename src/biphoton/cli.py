@@ -82,8 +82,13 @@ def _emit(args, payload: dict, name: str) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    # a command reads these keys only where it has the flags that set them
-    unread = [k for k in ("grid", "published_constants") if not hasattr(args, k)]
+    # grid is read only by density and schmidt --method numeric, and
+    # published_constants only by scan --quantity sincfit: refuse the others
+    reads = {
+        "grid": args.command == "density" or getattr(args, "method", "") == "numeric",
+        "published_constants": getattr(args, "quantity", "") == "sincfit",
+    }
+    unread = [k for k, read in reads.items() if not read]
     overrides = {
         "grid": getattr(args, "grid", None),
         "published_constants": (
@@ -94,6 +99,9 @@ def _load_config(args) -> RunConfig:
         "L": _maybe(parse_length, getattr(args, "length", None)),
         "phi0": _maybe(parse_angle, getattr(args, "phi0", None)),
     }
+    for key in unread:
+        if overrides[key] is not None:
+            raise ConfigError(f"--{key.replace('_', '-')} is not read by this command")
     return load_run_config(args.config, unread, **overrides)
 
 
@@ -151,8 +159,8 @@ def cmd_params(args) -> int:
 
 def cmd_scan(args) -> int:
     lo, hi = args.range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ConfigError(f"--range needs finite LO < HI, got {lo!r} {hi!r}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"--range needs finite LO < HI and HI - LO, got {lo!r} {hi!r}")
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
     _check_rows(args.points, f"--points {args.points}")

@@ -10,7 +10,7 @@ geometry. Units are micrometers and radians throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -201,7 +201,6 @@ class DerivedScales:
             noncollinear.
         a: wide double-Gaussian width, 2 pi.
         b: narrow double-Gaussian width dtheta_p / theta0, rad.
-        config: the configuration these scales were derived from.
     """
 
     n_o: float
@@ -213,11 +212,6 @@ class DerivedScales:
     phi_const: float
     a: float
     b: float
-    config: ExperimentConfig = field(repr=False)
-
-    @property
-    def L(self) -> float:
-        return self.config.L
 
     @property
     def ring_thickness(self) -> float:
@@ -251,7 +245,6 @@ def derive_scales(config: ExperimentConfig) -> DerivedScales:
         phi_const=phi_const,
         a=2.0 * math.pi,
         b=dtheta_p / theta0,
-        config=config,
     )
 
 

@@ -78,13 +78,21 @@ def test_criterion_05_sinc_gaussian_fit(ref_scales):
     test_amplitude.py), and a dense fit on |x| <= 60 gives 0.3812. It is the
     constant at which exp(-c x^2) and sinc^2(x) fall to 1/2 at the same x:
     sinc^2(x_h) = 1/2 at x_h = 1.3916, so c = ln 2 / x_h^2 = 0.3580. The
-    check reads the anchor where the DOUBLE_GAUSSIAN model takes it from and
-    compares it with that half-maximum constant, root-found here.
+    check recovers the constant the DOUBLE_GAUSSIAN model uses from its
+    density at theta1 = theta2 = theta0 + delta, alpha1 = alpha2, where the
+    pump and walk-off terms vanish and the density is exp(-c x^2) with
+    x = theta0 delta / dtheta_L, and compares it with that half-maximum
+    constant, root-found here.
     """
     x_half = brentq(lambda x: np.sinc(x / math.pi) ** 2 - 0.5, 0.1, 3.0)
     c_half = math.log(2.0) / x_half**2
     model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, ref_scales)
-    assert model.gauss_constant == SINC_GAUSS_HALF_MAX
+    t0, dtheta_L = ref_scales.theta0, ref_scales.dtheta_L
+    for x in (0.5, 1.0, 2.0):
+        theta = t0 + x * dtheta_L / t0
+        density = probability_density(model, AngularPair(theta, theta, 0.3, 0.3))
+        c_model = -math.log(density) / x**2
+        assert abs(c_model - SINC_GAUSS_HALF_MAX) < 1e-9 * SINC_GAUSS_HALF_MAX
     assert SINC_GAUSS_HALF_MAX == pytest.approx(0.359, abs=0.02)
     assert abs(SINC_GAUSS_HALF_MAX - c_half) < 2e-3
 

@@ -24,6 +24,7 @@ from biphoton import (
 )
 from biphoton.amplitude import (
     EXP_MASK_MIN_SIZE,
+    SINC_GAUSS_HALF_MAX,
     _pump_and_sinc_terms,
     exp_inplace,
     export_grid_csv,
@@ -216,15 +217,16 @@ class TestPumpAzimuthCos:
         assert np.max(np.abs(resid)) < 1e-10
 
 
-def _phase_mismatch(pair, scales, walkoff):
+def _phase_mismatch(pair, scales, config, walkoff):
     # linearized longitudinal mismatch Delta, um^-1: the sinc argument is L Delta / 2
-    return 2.0 / scales.L * _pump_and_sinc_terms(pair, scales, walkoff)[1]
+    return 2.0 / config.L * _pump_and_sinc_terms(pair, scales, walkoff)[1]
 
 
 class TestPhaseMismatch:
-    def test_zero_on_cone(self, ref_scales):
+    def test_zero_on_cone(self, ref_scales, ref_config):
         p = AngularPair(THETA0, THETA0, 0.4, 0.4)
-        assert _phase_mismatch(p, ref_scales, walkoff=False) == pytest.approx(0.0, abs=1e-15)
+        d = _phase_mismatch(p, ref_scales, ref_config, walkoff=False)
+        assert d == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_phase_matches_scales(self, ref_scales, ref_config):
         # L/2 times the constant part of the mismatch is the sinc constant
@@ -235,10 +237,10 @@ class TestPhaseMismatch:
         )
         assert delta0 == pytest.approx(expected, rel=1e-12)
 
-    def test_walkoff_contribution_sign_and_value(self, ref_scales):
+    def test_walkoff_contribution_sign_and_value(self, ref_scales, ref_config):
         p = AngularPair(THETA0 + 1e-3, THETA0 - 1e-3, 0.0, 0.0)
-        d_nwo = _phase_mismatch(p, ref_scales, walkoff=False)
-        d_full = _phase_mismatch(p, ref_scales, walkoff=True)
+        d_nwo = _phase_mismatch(p, ref_scales, ref_config, walkoff=False)
+        d_full = _phase_mismatch(p, ref_scales, ref_config, walkoff=True)
         expected = -(
             math.pi * ref_scales.zeta / (LAMBDA_P * ref_scales.n_p0)
         ) * 2e-3
@@ -417,13 +419,12 @@ class TestProbabilityDensity:
         # and on one wide enough that exp(-2 g) underflows on most of it
         s = ref_scales
         th1, th2 = self._polar_plane(s, 401, width_factor)
-        for kind_c in (0.359, 0.395):
-            model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, s, gauss_constant=kind_c)
-            for dal, al0 in ((0.0, 0.3), (-2.0 * s.b, -1.0), (2.5 * s.b, 1.2)):
-                pair = AngularPair(th1, th2, al0 + 0.5 * dal, al0 - 0.5 * dal)
-                g, x = _plain_g_and_x(pair, s)
-                expected = np.exp(-2.0 * g) * np.exp(-kind_c * x * x)
-                _assert_bits_equal(probability_density(model, pair), expected)
+        model = AmplitudeModel(AmplitudeKind.DOUBLE_GAUSSIAN, s)
+        for dal, al0 in ((0.0, 0.3), (-2.0 * s.b, -1.0), (2.5 * s.b, 1.2)):
+            pair = AngularPair(th1, th2, al0 + 0.5 * dal, al0 - 0.5 * dal)
+            g, x = _plain_g_and_x(pair, s)
+            expected = np.exp(-2.0 * g) * np.exp(-SINC_GAUSS_HALF_MAX * x * x)
+            _assert_bits_equal(probability_density(model, pair), expected)
         if width_factor > 1.0:
             assert np.mean(-2.0 * g <= -746.0) > 0.5
 
@@ -446,7 +447,7 @@ class TestProbabilityDensity:
             )
         x = core / (2.0 * s.dtheta_L)
         if model.kind is AmplitudeKind.DOUBLE_GAUSSIAN:
-            return np.exp(-2.0 * g) * np.exp(-model.gauss_constant * x * x)
+            return np.exp(-2.0 * g) * np.exp(-SINC_GAUSS_HALF_MAX * x * x)
         return (np.exp(-g) * np.sinc(x / math.pi)) ** 2
 
     @pytest.mark.parametrize("shape", ["polar_plane", "azimuth_axis", "scalars"])

@@ -138,10 +138,12 @@ class TestSchmidtAnalytic:
         with pytest.raises(ConfigError):
             schmidt_analytic(1.0, 0.0)
 
-    def test_mode_cap_warning(self, ref_scales):
-        with pytest.warns(UserWarning, match="truncated"):
+    def test_mode_cap_sets_truncated(self, ref_scales):
+        # the cap is reported only through SchmidtSpectrum.truncated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sp = schmidt_analytic(ref_scales.a, ref_scales.b * 1e-3)
-        assert sp.truncated
+        assert sp.truncated and len(sp.weights) == analysis.MODE_CAP
 
 
 class TestSchmidtModes:
@@ -448,6 +450,15 @@ class TestOamSpectrum:
         sp = oam_spectrum(AzimuthalDistribution(coincidence_width=0.05), l_max=10)
         zero_modes = [(l, p) for l, p in zip(sp.oam_l, sp.oam_parity) if l == 0]
         assert zero_modes == [(0, "cos")]
+
+    def test_mode_cap_sets_truncated(self):
+        # one l over the cap; reported only through SchmidtSpectrum.truncated
+        l_max = (analysis.MODE_CAP - 1) // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp = oam_spectrum(AzimuthalDistribution(coincidence_width=0.05), l_max + 1)
+        assert sp.truncated and sp.oam_l[-1] == l_max
+        assert len(sp.weights) == 2 * l_max + 1 <= analysis.MODE_CAP
 
 
 class TestCoefficientCheck:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestParams:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("schmidt", "--method", "analytic", "--grid", "300"), "--grid"),
+        (("schmidt", "--method", "oam", "--grid", "300"), "--grid"),
+        (("scan", "--quantity", "walkoff", "--range", "-1", "1", "--published-constants"),
+         "--published-constants"),
+        (("scan", "--quantity", "np_minus_no", "--range", "0.3", "2", "--published-constants"),
+         "--published-constants"),
+    ])
+    def test_flags_a_method_or_quantity_never_reads_are_refused(self, tmp_path, capsys,
+                                                                argv, flag):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {flag} is not read by this command" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("argv,key", [
         (("params",), "grid"),
         (("params",), "published_constants"),
@@ -163,6 +180,10 @@ class TestParams:
         (("scan", "--quantity", "sincfit", "--range", "-1", "1"), "grid"),
         (("density",), "published_constants"),
         (("schmidt", "--method", "oam"), "published_constants"),
+        (("schmidt", "--method", "analytic"), "grid"),
+        (("schmidt", "--method", "oam"), "grid"),
+        (("scan", "--quantity", "walkoff", "--range", "-1", "1"), "published_constants"),
+        (("scan", "--quantity", "np_minus_no", "--range", "0.3", "2"), "published_constants"),
     ])
     def test_config_keys_a_command_never_reads_are_refused(self, tmp_path, capsys,
                                                           argv, key):
@@ -261,6 +282,7 @@ class TestScan:
         (("0", "1"), "0", "--points must be >= 2"),
         (("0", "1"), "-1", "--points must be >= 2"),
         (("0", "1"), "1", "--points must be >= 2"),
+        ((" -1e308", "1e308"), "3", "--range needs finite LO < HI and HI - LO"),
     ])
     def test_bad_range_or_points_exit_code(self, tmp_path, capsys, bounds, points, message):
         out = tmp_path / "out"
@@ -417,6 +439,18 @@ class TestSchmidt:
         assert params["entanglement"]["flags"] == {"K_oam_closed_form": flag}
         code = run("schmidt", "--method", "oam", "--out", str(tmp_path), *argv)
         assert code == (0 if flag == "pass" else cli.EXIT_REGIME)
+
+    def test_analytic_truncation_is_reported_in_the_json(self, tmp_path, capfd):
+        # a 2 cm waist needs more than MODE_CAP modes: the cap shows only as
+        # "truncated" in the summary, with no warning and nothing on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("schmidt", "--method", "analytic", "--waist", "2cm",
+                       "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "schmidt_analytic.json").read_text())
+        assert summary["truncated"] is True
+        assert summary["n_modes"] == 1_000_000
+        assert capfd.readouterr().err == ""
 
     def test_oam_summary(self, tmp_path):
         assert run("schmidt", "--method", "oam", "--out", str(tmp_path)) == 0
