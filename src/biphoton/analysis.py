@@ -3,7 +3,7 @@
 Width ratio R, the analytic double-Gaussian Schmidt spectrum, and the OAM
 spectrum, plus two oracles used to cross-validate the closed forms: a
 discretized-kernel eigensolve (parity blocks) or SVD, and a trapezoid check
-of the Fourier coefficients as one chirp-z transform. Entropies are in bits.
+of the Fourier coefficients on the ring. Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ MODE_CAP = 10**6
 ANALYTIC_RESIDUAL = 1e-9
 OAM_RESIDUAL = 1e-12
 OAM_MAX_COINCIDENCE_WIDTH = 0.1  # rad; oam_spectrum's narrow-ridge regime
-COEFFICIENT_QUAD_POINTS = 40001  # coefficient_check's trapezoid points
 # schmidt_numeric refuses a grid whose NUMERIC_MATRICES n x n float arrays
 # would need more than NUMERIC_MEMORY_CAP bytes. Peak RSS (ru_maxrss) above
 # the interpreter, measured at n = 3,000 on one thread with double-Gaussian
@@ -128,28 +127,21 @@ def double_gaussian_k(a: float, b: float) -> float:
     return (a * a + b * b) / (2.0 * a * b)
 
 
-def schmidt_analytic(a: float, b: float, n_max: int | None = None) -> SchmidtSpectrum:
+def schmidt_analytic(a: float, b: float) -> SchmidtSpectrum:
     """Closed-form Schmidt spectrum of the double-Gaussian state.
 
-    lambda_n = (4ab/(a+b)^2) * ((a-b)/(a+b))^(2n). n_max is auto-extended
-    until the geometric tail is below 1e-9 unless given; the auto-extended
-    mode count is capped at MODE_CAP, which sets `truncated`.
+    lambda_n = (4ab/(a+b)^2) * ((a-b)/(a+b))^(2n), for n up to where the
+    geometric tail falls below ANALYTIC_RESIDUAL; the mode count is capped
+    at MODE_CAP, which sets `truncated`.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ConfigError(f"widths must be positive, got a={a!r}, b={b!r}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ConfigError(f"widths must be finite and > 0, got a={a!r}, b={b!r}")
     q = ((a - b) / (a + b)) ** 2
     lam0 = 4.0 * a * b / (a + b) ** 2  # == 1 - q
-    truncated = False
-    if n_max is None:
-        if q == 0.0:
-            n_max = 0
-        else:
-            # residual after n_max is q^(n_max+1)
-            n_max = int(math.ceil(math.log(ANALYTIC_RESIDUAL) / math.log(q))) + 1
-        truncated = n_max + 1 > MODE_CAP
-        n_max = min(n_max, MODE_CAP - 1)
-    elif n_max < 0:
-        raise ConfigError("n_max must be >= 0")
+    # residual after n_max is q^(n_max+1)
+    n_max = 0 if q == 0.0 else int(math.ceil(math.log(ANALYTIC_RESIDUAL) / math.log(q))) + 1
+    truncated = n_max + 1 > MODE_CAP
+    n_max = min(n_max, MODE_CAP - 1)
     n = np.arange(n_max + 1)
     weights = lam0 * q**n
     residual = q ** (n_max + 1)
@@ -302,9 +294,19 @@ def oam_closed_form_k(dist: AzimuthalDistribution) -> float:
     return 2.0 * math.sqrt(2.0 * math.pi) * (1.0 / (math.pi * dist.coincidence_width))
 
 
-def oam_spectrum(
-    dist: AzimuthalDistribution, l_max: int | None = None
-) -> SchmidtSpectrum:
+def _narrow_ridge(dist: AzimuthalDistribution) -> float:
+    """The coincidence width dac, refused (RegimeError) outside the
+    narrow-ridge regime dac < OAM_MAX_COINCIDENCE_WIDTH."""
+    dac = dist.coincidence_width
+    if dac >= OAM_MAX_COINCIDENCE_WIDTH:
+        raise RegimeError(
+            f"coincidence width {dac:g} rad outside the narrow-ridge regime "
+            f"(need < {OAM_MAX_COINCIDENCE_WIDTH:g})"
+        )
+    return dac
+
+
+def oam_spectrum(dist: AzimuthalDistribution) -> SchmidtSpectrum:
     """OAM Schmidt spectrum of the azimuthal Gaussian ridge.
 
     Stored modes are (0, cos) and (l, cos)/(l, sin) for l >= 1 with equal
@@ -316,15 +318,9 @@ def oam_spectrum(
     of it. closed_form_k carries the published closed form
     2 sqrt(2 pi) theta0 w / lambda_p for comparison, which equals 2/pi of K.
     """
-    dac = dist.coincidence_width
-    if dac >= OAM_MAX_COINCIDENCE_WIDTH:
-        raise RegimeError(
-            f"coincidence width {dac:g} rad outside the narrow-ridge regime "
-            f"(need < {OAM_MAX_COINCIDENCE_WIDTH:g})"
-        )
-    if l_max is None:
-        # tail weight below OAM_RESIDUAL relative to the l=0 weight
-        l_max = int(math.ceil(math.sqrt(-math.log(OAM_RESIDUAL)) / dac))
+    dac = _narrow_ridge(dist)
+    # tail weight below OAM_RESIDUAL relative to the l=0 weight
+    l_max = int(math.ceil(math.sqrt(-math.log(OAM_RESIDUAL)) / dac))
     truncated = 2 * l_max + 1 > MODE_CAP
     l_max = min(l_max, (MODE_CAP - 1) // 2)
     ls = np.concatenate(([0], np.repeat(np.arange(1, l_max + 1), 2)))
@@ -348,63 +344,28 @@ def oam_spectrum(
     )
 
 
-def _cis(c: float, m: np.ndarray) -> np.ndarray:
-    """exp(i c m) for increasing integers m >= 0, without rounding the phase
-    c m: c = hi + lo, with hi cut to few enough bits that hi m is exact and
-    lo m small, so each factor's error stays at roundoff however large c m."""
-    mantissa, exponent = math.frexp(c)
-    bits = max(0, 53 - int(m[-1]).bit_length())
-    hi = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
-    return np.exp(1j * hi * m) * np.exp(1j * (c - hi) * m)
-
-
-def _uniform_trapezoid_cosines(f: np.ndarray, start: float, step: float, l_max: int) -> np.ndarray:
-    """Trapezoid rule of f(x) cos(l x) on x_j = start + j step, l = 0..l_max.
-
-    A Bluestein chirp-z transform: with l j = (l^2 + j^2 - (l - j)^2) / 2,
-    sum_j g_j exp(i step l j) is the chirp exp(i step l^2 / 2) times the
-    convolution of g_j exp(i step j^2 / 2) with exp(-i step k^2 / 2), which
-    three FFTs of length 2^ceil(log2(n + l_max)) evaluate (Bluestein, IEEE
-    Trans. Audio Electroacoust. 18, 451, 1970; Rabiner, Schafer & Rader,
-    Bell Syst. Tech. J. 48, 1249, 1969).
-    """
-    n = len(f)
-    size = 1 << (n + l_max - 1).bit_length()
-    k = np.arange(max(n, l_max + 1), dtype=float)
-    chirp = _cis(-0.5 * step, k * k)
-    g = np.zeros(size, dtype=complex)
-    g[:n] = f * np.conj(chirp[:n])
-    g[0] *= 0.5
-    g[n - 1] *= 0.5
-    spectrum = np.fft.fft(g)
-    g[:] = 0.0
-    g[: l_max + 1] = chirp[: l_max + 1]
-    g[size - n + 1 :] = chirp[n - 1 : 0 : -1]
-    spectrum *= np.fft.fft(g)
-    conv = np.fft.ifft(spectrum)[: l_max + 1]
-    return step * (conv * np.conj(chirp[: l_max + 1]) * _cis(start, k[: l_max + 1])).real
-
-
 def coefficient_check(dist: AzimuthalDistribution, l_max: int) -> float:
     """Max relative deviation of Fourier coefficients of the azimuthal
     Gaussian from the closed form exp(-l^2 dac^2 / 2), over l = 0..l_max.
 
-    Each coefficient is the COEFFICIENT_QUAD_POINTS-point trapezoid rule on
-    |delta| <= 10 dac, whose step h aliases l near 2 pi / h onto l = 0; all
-    l = 0..l_max come from one chirp-z transform (_uniform_trapezoid_cosines)
-    instead of one cosine table per l.
+    Each is the trapezoid rule on |delta| <= 10 dac with the step h = 2 pi / n
+    of an n-point ring, n = ceil(l_max + 10 / dac), exponentially convergent
+    (Trefethen & Weideman, SIAM Rev. 56, 385, 2014): the coefficient at
+    n - l, aliased onto l, is below exp(-50) c_0. Only the ~10 dac / h
+    samples per side are summed, with the phase l j taken mod n, so the
+    working set is O(l_max) whatever dac is. Broad ridges are refused.
     """
     if l_max < 0:
         raise ConfigError(f"l_max must be >= 0, got {l_max}")
-    n = COEFFICIENT_QUAD_POINTS
-    dac = dist.coincidence_width
-    half = 10.0 * dac
-    delta = np.linspace(-half, half, n)
-    envelope = np.exp(-(delta**2) / (2.0 * dac * dac))
-    c_num = _uniform_trapezoid_cosines(envelope, -half, 2.0 * half / (n - 1), l_max)
+    dac = _narrow_ridge(dist)
+    n = math.ceil(l_max + 10.0 / dac)
+    h = 2.0 * math.pi / n
     ls = np.arange(l_max + 1)
-    c_closed = math.sqrt(2.0 * math.pi) * dac * np.exp(-(ls.astype(float) ** 2) * dac * dac / 2.0)
-    return float(np.max(np.abs(c_num - c_closed) / c_closed[0]))
+    c_num = np.ones(l_max + 1)
+    for j in range(1, math.floor(10.0 * dac / h) + 1):
+        c_num += 2.0 * math.exp(-((j * h) ** 2) / (2.0 * dac * dac)) * np.cos(ls * j % n * h)
+    c_closed = math.sqrt(2.0 * math.pi) * dac * np.exp(-((ls * dac) ** 2) / 2.0)
+    return float(np.max(np.abs(h * c_num - c_closed) / c_closed[0]))
 
 
 def azimuthal_density(dist: AzimuthalDistribution, alpha1, alpha2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -313,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("scan", parents=[common], help="figure-ready 1-D scans")
+    # a negative --range bound in exponent form (-1e-3) is a number, not an option
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     p.add_argument("--quantity", required=True, choices=["np_minus_no", "walkoff", "sincfit"])
     p.add_argument("--range", nargs=2, type=float, required=True, metavar=("LO", "HI"))
     p.add_argument("--points", type=int, default=400)

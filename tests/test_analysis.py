@@ -1,5 +1,6 @@
 """Width ratio, Schmidt spectra (analytic, numeric SVD, OAM), Fourier checks."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from biphoton import (
     azimuthal_density,
     azimuthal_widths,
     coefficient_check,
+    derive_scales,
     oam_spectrum,
     r_parameter,
     schmidt_analytic,
@@ -43,10 +45,6 @@ class TestAzimuthalWidths:
         assert r_parameter(ref_dist) == math.pi / ref_dist.coincidence_width
 
     def test_doubling_waist_halves_width(self, ref_config, bbo):
-        import dataclasses
-
-        from biphoton import derive_scales
-
         wide = dataclasses.replace(ref_config, w=2.0 * ref_config.w)
         d2 = azimuthal_widths(derive_scales(wide))
         assert d2.coincidence_width == pytest.approx(0.5 * DALPHA_C, rel=1e-12)
@@ -138,6 +136,12 @@ class TestSchmidtAnalytic:
         with pytest.raises(ConfigError):
             schmidt_analytic(1.0, 0.0)
 
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.5), (math.inf, 0.5),
+                                     (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_widths_refused(self, a, b):
+        with pytest.raises(ConfigError, match="finite"):
+            schmidt_analytic(a, b)
+
     def test_mode_cap_sets_truncated(self, ref_scales):
         # the cap is reported only through SchmidtSpectrum.truncated
         with warnings.catch_warnings():
@@ -159,14 +163,19 @@ class TestSchmidtModes:
         # double-Gaussian kernel; compare where the kernel is not tiny
         a, b = 2.0 * math.pi, 2.0 * math.pi / 50.0
         # amplitudes scale as sqrt(weight), so the default 1e-9 weight tail
-        # is only ~3e-5 in amplitude; extend the series for a 1e-6 check
-        sp = schmidt_analytic(a, b, n_max=1500)
+        # is only ~3e-5 in amplitude; extend the series to 1,501 geometric
+        # weights for a 1e-6 check
+        q = ((a - b) / (a + b)) ** 2
+        weights = (1.0 - q) * q ** np.arange(1501)
+        default = schmidt_analytic(a, b).weights
+        assert len(default) < len(weights)
+        np.testing.assert_allclose(default, weights[: len(default)], rtol=1e-12, atol=0)
         xs = np.linspace(-1.5, 1.5, 31)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         kern = np.exp(-((X + Y) ** 2) / (2 * a * a) - ((X - Y) ** 2) / (2 * b * b))
         rec = np.zeros_like(kern)
-        modes = schmidt_modes(len(sp.weights) - 1, a, b, xs)
-        for n, w in enumerate(sp.weights):
+        modes = schmidt_modes(len(weights) - 1, a, b, xs)
+        for n, w in enumerate(weights):
             m = modes[n]
             rec += math.sqrt(w) * np.outer(m, m)
         mask = kern > 1e-3
@@ -420,7 +429,7 @@ class TestOamSpectrum:
         )
 
     def test_degenerate_pairs_equal_weight(self):
-        sp = oam_spectrum(AzimuthalDistribution(coincidence_width=0.02), l_max=40)
+        sp = oam_spectrum(AzimuthalDistribution(coincidence_width=0.02))
         assert sp.oam_l[0] == 0 and sp.oam_parity[0] == "cos"
         for l in (1, 5, 17):
             idx = np.nonzero(sp.oam_l == l)[0]
@@ -430,7 +439,7 @@ class TestOamSpectrum:
 
     def test_weights_follow_gaussian_law(self):
         dac = 0.03
-        sp = oam_spectrum(AzimuthalDistribution(coincidence_width=dac), l_max=60)
+        sp = oam_spectrum(AzimuthalDistribution(coincidence_width=dac))
         lam = sp.weights
         ls = sp.oam_l.astype(float)
         ratio = lam / lam[0]
@@ -447,16 +456,17 @@ class TestOamSpectrum:
             oam_spectrum(AzimuthalDistribution(coincidence_width=0.2))
 
     def test_l0_sin_excluded_from_spectrum(self):
-        sp = oam_spectrum(AzimuthalDistribution(coincidence_width=0.05), l_max=10)
+        sp = oam_spectrum(AzimuthalDistribution(coincidence_width=0.05))
         zero_modes = [(l, p) for l, p in zip(sp.oam_l, sp.oam_parity) if l == 0]
         assert zero_modes == [(0, "cos")]
 
     def test_mode_cap_sets_truncated(self):
-        # one l over the cap; reported only through SchmidtSpectrum.truncated
+        # below dac = 1.05e-5 the automatic l_max passes the cap; reported
+        # only through SchmidtSpectrum.truncated
         l_max = (analysis.MODE_CAP - 1) // 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sp = oam_spectrum(AzimuthalDistribution(coincidence_width=0.05), l_max + 1)
+            sp = oam_spectrum(AzimuthalDistribution(coincidence_width=1e-5))
         assert sp.truncated and sp.oam_l[-1] == l_max
         assert len(sp.weights) == 2 * l_max + 1 <= analysis.MODE_CAP
 
@@ -473,68 +483,38 @@ class TestCoefficientCheck:
     def test_reference_config_at_l_max_900(self, ref_dist):
         assert coefficient_check(ref_dist, l_max=900) < 1e-14
 
-    @pytest.mark.parametrize("l_max", [0, 1, 3, 4, 24, 25, 37])
-    def test_blocked_exponentials_match_per_l_trapezoid(self, l_max):
-        # per-l np.trapezoid reference on the check's uniform grid
-        dac = 0.02
-        delta = np.linspace(-10.0 * dac, 10.0 * dac, 2001)
-        f = np.exp(-(delta**2) / (2.0 * dac * dac))
-        ref = np.array([np.trapezoid(f * np.cos(l * delta), delta)
-                        for l in range(l_max + 1)])
-        got = analysis._uniform_trapezoid_cosines(f, delta[0], 0.4 / 2000, l_max)
-        assert got.shape == (l_max + 1,)
-        assert np.max(np.abs(got - ref)) < 1e-14 * ref[0]
-
-    @pytest.mark.parametrize("n_quad, l_max", [(2, 0), (2, 9), (30, 29), (31, 30),
-                                               (30, 64), (31, 257), (1000, 1500),
-                                               (1001, 40)])
-    def test_chirp_z_matches_per_l_trapezoid(self, n_quad, l_max):
-        # odd and even grids, l_max below, at and above n_quad, and an
-        # off-centre window, against np.trapezoid one l at a time
-        dac = 0.02
-        start, stop = -7.0 * dac, 13.0 * dac
-        delta = np.linspace(start, stop, n_quad)
-        f = np.exp(-(delta**2) / (2.0 * dac * dac))
-        ref = np.array([np.trapezoid(f * np.cos(l * delta), delta)
-                        for l in range(l_max + 1)])
-        got = analysis._uniform_trapezoid_cosines(
-            f, start, (stop - start) / (n_quad - 1), l_max)
-        assert got.shape == (l_max + 1,)
-        assert np.max(np.abs(got - ref)) < 1e-14 * abs(ref[0])
-
     def test_peak_memory_at_l_max_900(self, ref_dist):
-        # a few FFT buffers of 2^16 complex entries, 1 MiB each
+        # a few arrays of l_max + 1 doubles, 7 KiB each
         tracemalloc.start()
         try:
             coefficient_check(ref_dist, l_max=900)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
+
+    def test_plane_wave_end(self, ref_config):
+        # dac 4.6e-14: the ring has about 2e14 points, of which only the
+        # few dozen inside |delta| <= 10 dac are summed
+        dist = azimuthal_widths(derive_scales(dataclasses.replace(ref_config, w=1e13)))
+        tracemalloc.start()
+        try:
+            dev = coefficient_check(dist, l_max=900)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dev < 1e-14
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("dac", [0.1, 0.5])
+    def test_broad_ridge_refused(self, dac):
+        with pytest.raises(RegimeError, match="narrow-ridge"):
+            coefficient_check(AzimuthalDistribution(coincidence_width=dac), l_max=10)
 
     @pytest.mark.parametrize("l_max", [-1, -5])
     def test_negative_l_max_refused(self, ref_dist, l_max):
         with pytest.raises(ConfigError, match="l_max"):
             coefficient_check(ref_dist, l_max)
-
-    def test_matches_per_l_trapezoid_deviation(self):
-        # the fixed grid's step h = 20 dac / 40,000 is coarse for l near
-        # 2 pi / h = 12,566 at dac = 1, which aliases onto l = 0, so the
-        # deviation is of order 1, and it must equal the per-l trapezoid's.
-        # Below l = 12,000 the aliased term exp(-(2 pi / h - l)^2 dac^2 / 2)
-        # is 0.0, so the per-l reference is needed only above it.
-        dac, l_lo, l_max = 1.0, 12000, 12600
-        dist = AzimuthalDistribution(coincidence_width=dac)
-        assert coefficient_check(dist, l_lo) < 1e-14
-        delta = np.linspace(-10.0 * dac, 10.0 * dac, analysis.COEFFICIENT_QUAD_POINTS)
-        f = np.exp(-(delta**2) / (2.0 * dac * dac))
-        ls = np.arange(l_lo + 1, l_max + 1)
-        ref = np.array([np.trapezoid(f * np.cos(l * delta), delta) for l in ls])
-        c0 = math.sqrt(2.0 * math.pi) * dac
-        closed = c0 * np.exp(-(ls**2) * dac * dac / 2.0)
-        want = np.max(np.abs(ref - closed) / c0)
-        assert want > 0.5
-        assert coefficient_check(dist, l_max) == pytest.approx(want, abs=1e-14)
 
 
 class TestAzimuthalDensity:

@@ -273,6 +273,15 @@ class TestScan:
             ) == 0
         assert (a / "scan_sincfit.csv").read_bytes() == (b / "scan_sincfit.csv").read_bytes()
 
+    @pytest.mark.parametrize("lo", ["-1e-3", "-1.5E+2", "-.5", "-1"])
+    def test_negative_lo_is_a_number(self, tmp_path, lo):
+        # argparse alone reads -1e-3 and -1.5E+2 as options, not numbers
+        assert run(
+            "scan", "--quantity", "walkoff", "--range", lo, "1",
+            "--points", "3", "--out", str(tmp_path),
+        ) == 0
+        _, rows = read_csv(tmp_path / "scan_walkoff.csv")
+        assert len(rows) == 3 and rows[0][0] == float(lo) and rows[-1][0] == 1.0
 
     @pytest.mark.parametrize("bounds,points,message", [
         (("nan", "1"), "3", "--range needs finite LO < HI"),
