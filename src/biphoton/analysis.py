@@ -136,8 +136,13 @@ def schmidt_analytic(a: float, b: float) -> SchmidtSpectrum:
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ConfigError(f"widths must be finite and > 0, got a={a!r}, b={b!r}")
-    q = ((a - b) / (a + b)) ** 2
-    lam0 = 4.0 * a * b / (a + b) ** 2  # == 1 - q
+    try:
+        q = ((a - b) / (a + b)) ** 2
+        lam0 = 4.0 * a * b / (a + b) ** 2  # == 1 - q
+    except (OverflowError, ZeroDivisionError):  # (a + b)**2 out of float range
+        q = lam0 = math.nan
+    if not (q < 1.0 and lam0 > 0.0):  # nan, or a ratio at which q rounds to 1
+        raise ConfigError(f"widths a={a!r}, b={b!r} are outside the closed form's float range")
     # residual after n_max is q^(n_max+1)
     n_max = 0 if q == 0.0 else int(math.ceil(math.log(ANALYTIC_RESIDUAL) / math.log(q))) + 1
     truncated = n_max + 1 > MODE_CAP
@@ -324,7 +329,7 @@ def oam_spectrum(dist: AzimuthalDistribution) -> SchmidtSpectrum:
     truncated = 2 * l_max + 1 > MODE_CAP
     l_max = min(l_max, (MODE_CAP - 1) // 2)
     ls = np.concatenate(([0], np.repeat(np.arange(1, l_max + 1), 2)))
-    parity = np.array(["cos"] + ["cos", "sin"] * l_max)
+    parity = np.concatenate((["cos"], np.tile(["cos", "sin"], l_max)))
     raw = np.exp(-(ls.astype(float) ** 2) * dac * dac)
     total = raw.sum()
     # relative tail mass of the untruncated sum, Gaussian-integral estimate

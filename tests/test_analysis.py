@@ -136,6 +136,13 @@ class TestSchmidtAnalytic:
         with pytest.raises(ConfigError):
             schmidt_analytic(1.0, 0.0)
 
+    @pytest.mark.parametrize("a,b", [(1e200, 1.0), (1e300, 1e-300), (1.0, 1e-17),
+                                     (1e308, 1e308), (1e-200, 1e-200)])
+    def test_widths_outside_float_range_refused(self, a, b):
+        # (a + b)**2 overflows or underflows, a + b overflows, or q rounds to 1
+        with pytest.raises(ConfigError):
+            schmidt_analytic(a, b)
+
     @pytest.mark.parametrize("a,b", [(math.nan, 0.5), (math.inf, 0.5),
                                      (1.0, math.nan), (1.0, math.inf)])
     def test_non_finite_widths_refused(self, a, b):

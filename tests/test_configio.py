@@ -130,6 +130,78 @@ class TestWriteCsv:
         assert lines[7] == "6,4.94065645841e-324"
 
 
+def special_floats() -> np.ndarray:
+    """Values whose "%.12g" tests the edges of the writer's float path:
+    signed zeros, subnormals, the ends of its fast range, inf, nan, both
+    neighbours of every power of ten, 12-digit ties k + 1/2 and 13-digit
+    ties 10 k + 5, which round half to even, and their neighbours."""
+    tiny = sys.float_info.min
+    fixed = [0.0, -0.0, 5e-324, -5e-324, tiny, tiny / 3.0, -tiny / 7.0, 1e-280, -1e-280,
+             1e280, 9.9999999999995e279, 1.0000000000005e280, sys.float_info.max,
+             -sys.float_info.max, np.inf, -np.inf, np.nan, 0.5, 1.0, 9.5, 99999999999.5,
+             999999999999.5, 999999999999.4, 0.1 + 0.2, 1.0 / 3.0, 1e-4, 1e-5, 1e11, 1e12]
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    rng = np.random.default_rng(11)
+    k = rng.integers(10**11, 10**12, 2000).astype(float)
+    ties = np.concatenate([k + 0.5, 10.0 * k + 5.0, k + 0.25, 10.0 * k + 4.0])
+    # mantissas within a rounding error of a tie, and 1e-3 to 2e-3 from one,
+    # inside and at the edge of the writer's fallback
+    scale = 10.0 ** rng.integers(-290, 270, k.size)
+    near = np.concatenate([(k + 0.5) * scale, (k + 0.5 + rng.choice([-1.0, 1.0], k.size)
+                                               * rng.uniform(1e-3, 2e-3, k.size)) * scale])
+    return np.concatenate([
+        fixed, powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+        ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), near])
+
+
+class TestFieldsMatchPython:
+    """Each field format against Python's own `%` on the same values."""
+
+    def test_floats(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n = 60_000
+        random = rng.random(n) * 10.0 ** rng.integers(-320, 301, n) * rng.choice([-1, 1], n)
+        x = np.concatenate([special_floats(), random])
+        y = np.roll(x, 1)
+        expected = b"x,y\r\n" + b"".join(b"%.12g,%.12g\r\n" % p for p in zip(x.tolist(), y.tolist()))
+        assert written_bytes(tmp_path, ("x", "y"), [[(F, x)]], [y]) == expected
+
+    def test_mostly_zero_rows(self, tmp_path):
+        # the density layout, where most values are exact zeros
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((40, 300)) * (rng.random((40, 300)) < 0.05)
+        values[::3] *= -0.0
+        alpha = np.linspace(-1.0, 1.0, 300)
+        axes = [[(F, alpha[:40])], [(F, alpha)]]
+        expected = b"a,b,v\r\n" + b"".join(
+            b"%.12g,%.12g,%.12g\r\n" % (a, b, v) for (a, b), v in
+            zip(itertools.product(alpha[:40].tolist(), alpha.tolist()), values.ravel().tolist()))
+        assert written_bytes(tmp_path, ("a", "b", "v"), axes, values) == expected
+
+    def test_integers_and_strings(self, tmp_path):
+        rng = np.random.default_rng(14)
+        edges = [0, 1, 9, 10, 99, 100, -1, -9, -10, 10**12, -(10**12), 10**16 - 1, 10**16,
+                 -(10**16), 2**63 - 1, -(2**63)]
+        edges += [10**k + d for k in range(1, 16) for d in (-1, 0)]
+        ints = np.concatenate([edges, rng.integers(0, 10**12, 20_000, endpoint=True),
+                               rng.integers(-(10**12), 0, 5_000)])
+        words = np.array(["50%", "%d", "%%", "a%sb", "%.12g", "cos", "", "x" * 20, "μm"])
+        names = words[rng.integers(0, len(words), len(ints))]
+        v = rng.standard_normal(len(ints))
+        expected = b"i,s,v\r\n" + b"".join(
+            ("%d,%s,%.12g\r\n" % row).encode()
+            for row in zip(ints.tolist(), names.tolist(), v.tolist()))
+        got = written_bytes(tmp_path, ("i", "s", "v"), [[("%d", ints), ("%s", names)]], [v])
+        assert got == expected
+        ascii_only = names != "μm"
+        got = written_bytes(tmp_path, ("i", "s", "v"),
+                            [[("%d", ints[ascii_only]), ("%s", names[ascii_only])]],
+                            [v[ascii_only]])
+        assert got == b"i,s,v\r\n" + b"".join(
+            ("%d,%s,%.12g\r\n" % row).encode() for row in
+            zip(ints[ascii_only].tolist(), names[ascii_only].tolist(), v[ascii_only].tolist()))
+
+
 class TestProductTables:
     @pytest.mark.parametrize("shape", [(5,), (4, 7), (3, 2, 6)])
     def test_one_two_and_three_axes(self, tmp_path, csv_reference, shape):
