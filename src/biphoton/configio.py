@@ -138,16 +138,16 @@ def write_csv(path: str | Path, header, axes, values) -> None:
     needs.
 
     The rows go out in blocks of about CSV_BLOCK_ROWS values: a slice of
-    one value row, or as many whole rows as fit. Each field of a block is
-    formatted in numpy (see _fields) into NUL-padded byte rows; the block
-    is laid out as one byte matrix, its NULs dropped with one
-    bytes.translate, and written with one write.
+    one value row, or as many whole rows as fit. The fields are formatted
+    in numpy (see _fields) into byte rows padded with NULs, the outer axes
+    and a last axis that fits in a block once for the whole table, the
+    values once per block. A block is laid out as one byte matrix, its NULs
+    dropped with one bytes.translate, and written with one write.
     """
     *outer, inner = axes
     shape = [len(axis[0][1]) for axis in outer]
     outer_text = [_narrow(_axis_text(axis, slice(None))) for axis in outer]
     n = len(inner[0][1])
-    # a last axis that fits in one block is formatted once, for every block
     inner_text = _narrow(_axis_text(inner, slice(None))) if n <= CSV_BLOCK_ROWS else None
     per_block = max(1, CSV_BLOCK_ROWS // max(n, 1))
     rows = iter(values)
@@ -265,7 +265,7 @@ def _fields(fmt: str, col) -> np.ndarray:
         return _g12(col.astype(float, copy=False))
     if fmt == "%d" and kind in "biu" and np.can_cast(col.dtype, np.int64):
         v = col.astype(np.int64, copy=False)
-        if len(v) == 0 or -_INT_LIMIT < v.min() and v.max() < _INT_LIMIT:
+        if -_INT_LIMIT < v.min(initial=0) and v.max(initial=0) < _INT_LIMIT:
             return _d(v)
     if fmt == "%s" and kind == "U":
         codes = np.ascontiguousarray(col).view(np.uint32).reshape(len(col), col.itemsize // 4)

@@ -21,7 +21,8 @@ def main() -> None:
     for argv in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             entries.append(record(argv, Path(tmp)))
-    (GOLDEN / "expected.json").write_text(json.dumps(entries, indent=1) + "\n")
+    lines = ",\n".join(json.dumps(entry) for entry in entries)
+    (GOLDEN / "expected.json").write_text(f"[\n{lines}\n]\n")
 
 
 if __name__ == "__main__":
