@@ -281,7 +281,7 @@ def _byte_rows(strings: np.ndarray) -> np.ndarray:
 def _stack(cells: list) -> np.ndarray:
     """Columns of 8-byte cells as byte rows, all-NUL columns left out."""
     kept = [c for c in cells if c.any()] or cells[:1]
-    return np.stack(kept, axis=1).view(np.uint8)
+    return np.stack(kept, axis=1).astype("<u8", copy=False).view(np.uint8)
 
 
 def _d(v: np.ndarray) -> np.ndarray:
